@@ -71,6 +71,7 @@ from .ratio import (
 from .verify import (
     CHECKS,
     CheckSpec,
+    NoValidInputError,
     UnknownCheckError,
     resolve_conjugation_form,
     run_check,

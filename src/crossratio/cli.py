@@ -4,6 +4,10 @@ Subcommands: eval, solve, verify, construct, desargues.  Exit codes are
 stable: 0 success, 2 unparseable input or bad configuration, 3 violated
 precondition, 4 a fourth point that exists only at infinity, 5 I/O failure.
 A verification or Desargues run that completes but finds failures exits 1.
+
+Bad configuration includes a GF modulus of PRIME_TEST_LIMIT (about
+3.3e24) or more, a `verify` field too small to give some check any valid
+input (gf:2 and gf:3), and a `desargues --count` below 1.
 """
 
 from __future__ import annotations
@@ -178,6 +182,8 @@ def _tamper(cfg):
 
 
 def _cmd_desargues(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     field = field_by_name(args.field)
     passes = 0
     failures = []

@@ -18,7 +18,6 @@ canonical spelling of ``s``.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -195,11 +194,32 @@ class RationalField(Field):
         return hash(self.name)
 
 
+# Strong-probable-prime bases: the first 13 primes.  No composite below
+# PRIME_TEST_LIMIT passes all of them (Sorenson & Webster, Math. Comp. 2017;
+# the first 12 primes alone are fooled at 318665857834031151167461).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every p < PRIME_TEST_LIMIT."""
     if p < 2:
         return False
-    for d in range(2, math.isqrt(p) + 1):
-        if p % d == 0:
+    for base in _PRIME_BASES:
+        if p % base == 0:
+            return p == base
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _PRIME_BASES:
+        x = pow(base, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -210,6 +230,8 @@ class GaloisField(Field):
     commutative = True
 
     def __init__(self, p: int):
+        if p >= PRIME_TEST_LIMIT:
+            raise ValueError(f"GF modulus must be below {PRIME_TEST_LIMIT}, got {p}")
         if not _is_prime(p):
             raise ValueError(f"GF modulus must be prime, got {p}")
         self.p = p

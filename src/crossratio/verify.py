@@ -10,11 +10,15 @@ are not.  Most checks are universally quantified equalities; the
 noncommutativity check is an existence search whose pass criterion is that
 a witness IS found.  On small prime fields, checks with a registered
 enumerator run exhaustively over all valid tuples instead of sampling.
+A check that gets no valid input at all (an empty enumeration, or
+REDRAW_CAP rejected draws in a row) raises NoValidInputError rather than
+passing vacuously.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -57,11 +61,14 @@ from .ratio import (
 WITNESS_CAP = 10
 REDRAW_CAP = 1000
 EXHAUSTIVE_MAX_MODULUS = 7
-EXHAUSTIVE_MAX_TUPLES = 10**6
 
 
 class UnknownCheckError(ValueError):
     """Requested check name is not registered."""
+
+
+class NoValidInputError(ValueError):
+    """The field offers a check no input tuple that meets its preconditions."""
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,9 @@ class CheckDef:
     draw: Callable | None = None  # (field, rng) -> inputs tuple, or None to redraw
     evaluate: Callable | None = None  # (field, inputs) -> list of witness dicts
     enumerate_inputs: Callable[[Field], Iterator] | None = None
-    arity: int = 0  # tuple-space exponent for the exhaustive bound
-    runner: Callable | None = None  # custom: (field, seed, samples) -> record
+    # (field, inputs) -> dict added to the record's "details": numbers are
+    # summed over the run, other values are kept as they are
+    details: Callable | None = None
 
 
 CHECKS: dict[str, CheckDef] = {}
@@ -104,8 +112,20 @@ def _witness(inputs: list[str], lhs, rhs) -> dict:
     return {"inputs": inputs, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _labeled(names: str, values) -> list[str]:
+def _labeled(names, values) -> list[str]:
     return [f"{n}={v}" for n, v in zip(names, values)]
+
+
+def _law(names, values, lhs, rhs, law: str | None = None) -> list[dict]:
+    """No witness when lhs == rhs, else one naming the law and the labeled inputs.
+
+    An element equals the finite extended point holding it, so either side
+    may be a cross-ratio.  The inputs are formatted only for a witness.
+    """
+    if lhs != rhs:
+        tags = _labeled(names, values)
+        return [_witness(tags if law is None else [f"law={law}", *tags], lhs, rhs)]
+    return []
 
 
 def _sample_rng(seed: int, name: str, index: int) -> random.Random:
@@ -127,11 +147,16 @@ def _can_enumerate(check: CheckDef, field: Field) -> bool:
         check.enumerate_inputs is not None
         and isinstance(field, GaloisField)
         and field.p <= EXHAUSTIVE_MAX_MODULUS
-        and field.p**check.arity <= EXHAUSTIVE_MAX_TUPLES
     )
 
 
-def _draw_valid(check: CheckDef, field: Field, rng: random.Random):
+def _draw_valid(check: CheckDef, field: Field, seed: int, index: int):
+    """Inputs of sample `index` and the number of rejected draws before them.
+
+    Redraws continue the sample's own stream, so the result depends only on
+    (seed, check, index).
+    """
+    rng = _sample_rng(seed, check.name, index)
     tries = 0
     while True:
         inputs = check.draw(field, rng)
@@ -139,70 +164,76 @@ def _draw_valid(check: CheckDef, field: Field, rng: random.Random):
             return inputs, tries
         tries += 1
         if tries >= REDRAW_CAP:
-            raise RuntimeError(
+            raise NoValidInputError(
                 f"{check.name}: no precondition-satisfying draw over {field} "
                 f"after {REDRAW_CAP} redraws"
             )
 
 
-def _base_record(check: CheckDef, strategy: str) -> dict:
-    return {
-        "name": check.name,
-        "kind": check.kind,
-        "skipped": False,
-        "strategy": strategy,
-        "samples_run": 0,
-        "redraws": 0,
-        "passed": True,
-        "failures": 0,
-        "witnesses": [],
-    }
-
-
-def _run_sampled(check: CheckDef, field: Field, seed: int, samples: int) -> dict:
-    record = _base_record(check, "sampled")
-    for index in range(samples):
-        rng = _sample_rng(seed, check.name, index)
-        inputs, redraws = _draw_valid(check, field, rng)
-        record["redraws"] += redraws
-        fails = check.evaluate(field, inputs)
-        record["samples_run"] += 1
-        record["failures"] += len(fails)
-        for witness in fails:
-            if len(record["witnesses"]) < WITNESS_CAP:
-                record["witnesses"].append(witness)
-    record["passed"] = record["failures"] == 0
-    return record
-
-
-def _run_exhaustive(check: CheckDef, field: Field) -> dict:
-    record = _base_record(check, "exhaustive")
-    for inputs in check.enumerate_inputs(field):
-        fails = check.evaluate(field, inputs)
-        record["samples_run"] += 1
-        record["failures"] += len(fails)
-        for witness in fails:
-            if len(record["witnesses"]) < WITNESS_CAP:
-                record["witnesses"].append(witness)
-    record["passed"] = record["failures"] == 0
+def _record(check: CheckDef, strategy: str, reason: str | None = None) -> dict:
+    """A check's report entry before any sample has run; a reason marks a skip."""
+    record = {"name": check.name, "kind": check.kind, "skipped": reason is not None}
+    if reason is not None:
+        record["reason"] = reason
+    record.update(
+        {
+            "strategy": strategy,
+            "samples_run": 0,
+            "redraws": 0,
+            "passed": None,
+            "failures": 0,
+            "witnesses": [],
+        }
+    )
     return record
 
 
 def run_check(spec: CheckSpec, strategy: str = "auto") -> dict:
-    """Run one named check; strategy is auto, sampled, or exhaustive."""
+    """Run one named check; strategy is auto, sampled, or exhaustive.
+
+    Auto enumerates every valid tuple when the check has an enumerator and
+    the field is a prime field of modulus at most EXHAUSTIVE_MAX_MODULUS,
+    and samples otherwise.  An equality check counts every failing sample
+    and keeps up to WITNESS_CAP witnesses; a witness-search check stops at
+    its first witness and passes only if it found one.
+    """
     if spec.name not in CHECKS:
         raise UnknownCheckError(f"unknown check: {spec.name!r}")
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
     check = CHECKS[spec.name]
     field = spec.resolved_field()
-    if check.runner is not None:
-        return check.runner(field, spec.seed, spec.samples)
     if strategy == "exhaustive" and not _can_enumerate(check, field):
         raise ValueError(f"{spec.name} cannot run exhaustively over {field}")
     if strategy == "exhaustive" or (strategy == "auto" and _can_enumerate(check, field)):
-        return _run_exhaustive(check, field)
-    return _run_sampled(check, field, spec.seed, spec.samples)
+        record = _record(check, "exhaustive")
+        tuples = zip(check.enumerate_inputs(field), itertools.repeat(0))
+    else:
+        record = _record(check, "sampled")
+        tuples = map(functools.partial(_draw_valid, check, field, spec.seed), range(spec.samples))
+    search = check.kind == "witness-search"
+    details = {}
+    for inputs, redraws in tuples:
+        record["redraws"] += redraws
+        record["samples_run"] += 1
+        found = check.evaluate(field, inputs)
+        if check.details is not None:
+            for key, value in check.details(field, inputs).items():
+                details[key] = details.get(key, 0) + value if isinstance(value, int) else value
+        if not search:
+            record["failures"] += len(found)
+            record["witnesses"] += found[: WITNESS_CAP - len(record["witnesses"])]
+        elif found:
+            record["witnesses"] = found[:1]
+            break
+    if record["samples_run"] == 0:
+        raise NoValidInputError(
+            f"{check.name}: no input tuple over {field} meets its preconditions"
+        )
+    record["passed"] = bool(record["witnesses"]) if search else record["failures"] == 0
+    if check.details is not None:
+        record["details"] = details
+    return record
 
 
 def run_suite(field: Field | str, seed: int, samples: int = 1000) -> dict:
@@ -212,23 +243,10 @@ def run_suite(field: Field | str, seed: int, samples: int = 1000) -> dict:
     records = []
     for check in CHECKS.values():
         ok, reason = applicable(check, field)
-        if not ok:
-            records.append(
-                {
-                    "name": check.name,
-                    "kind": check.kind,
-                    "skipped": True,
-                    "reason": reason,
-                    "strategy": "none",
-                    "samples_run": 0,
-                    "redraws": 0,
-                    "passed": None,
-                    "failures": 0,
-                    "witnesses": [],
-                }
-            )
-            continue
-        records.append(run_check(CheckSpec(check.name, field, samples, seed)))
+        if ok:
+            records.append(run_check(CheckSpec(check.name, field, samples, seed)))
+        else:
+            records.append(_record(check, "none", reason))
     return {
         "field": field.name,
         "seed": seed,
@@ -279,23 +297,17 @@ def _draw_scalar_int(rng, lo=-20, hi=20, nonzero=False):
 
 def _eval_field_axioms(field, xs):
     x, y, z = xs
-    tags = _labeled("xyz", xs)
-    fails = []
-
-    def law(tag, lhs, rhs):
-        if lhs != rhs:
-            fails.append(_witness([f"law={tag}"] + tags, lhs, rhs))
-
-    law("add-associative", (x + y) + z, x + (y + z))
-    law("add-commutative", x + y, y + x)
-    law("add-identity", x + field.zero, x)
-    law("add-inverse", x + (-x), field.zero)
-    law("mul-associative", (x * y) * z, x * (y * z))
-    law("mul-identity-left", field.one * x, x)
-    law("mul-identity-right", x * field.one, x)
-    law("left-distributive", x * (y + z), x * y + x * z)
-    law("right-distributive", (x + y) * z, x * z + y * z)
-    return fails
+    return [
+        *_law("xyz", xs, (x + y) + z, x + (y + z), law="add-associative"),
+        *_law("xyz", xs, x + y, y + x, law="add-commutative"),
+        *_law("xyz", xs, x + field.zero, x, law="add-identity"),
+        *_law("xyz", xs, x + (-x), field.zero, law="add-inverse"),
+        *_law("xyz", xs, (x * y) * z, x * (y * z), law="mul-associative"),
+        *_law("xyz", xs, field.one * x, x, law="mul-identity-left"),
+        *_law("xyz", xs, x * field.one, x, law="mul-identity-right"),
+        *_law("xyz", xs, x * (y + z), x * y + x * z, law="left-distributive"),
+        *_law("xyz", xs, (x + y) * z, x * z + y * z, law="right-distributive"),
+    ]
 
 
 _register(
@@ -305,25 +317,20 @@ _register(
         draw=_draw_tuple(3),
         evaluate=_eval_field_axioms,
         enumerate_inputs=_enum_tuples(3),
-        arity=3,
     )
 )
 
 
 def _eval_inverse_laws(field, xs):
     x, y = xs
-    tags = _labeled("xy", xs)
-    fails = []
-
-    def law(tag, lhs, rhs):
-        if lhs != rhs:
-            fails.append(_witness([f"law={tag}"] + tags, lhs, rhs))
-
-    law("double-inverse", x.inv().inv(), x)
-    law("right-inverse", x * x.inv(), field.one)
-    law("left-inverse", x.inv() * x, field.one)
-    law("product-inverse-antihomomorphism", (x * y).inv(), y.inv() * x.inv())
-    return fails
+    return [
+        *_law("xy", xs, x.inv().inv(), x, law="double-inverse"),
+        *_law("xy", xs, x * x.inv(), field.one, law="right-inverse"),
+        *_law("xy", xs, x.inv() * x, field.one, law="left-inverse"),
+        *_law(
+            "xy", xs, (x * y).inv(), y.inv() * x.inv(), law="product-inverse-antihomomorphism"
+        ),
+    ]
 
 
 _register(
@@ -333,7 +340,6 @@ _register(
         draw=_draw_tuple(2, nonzero=True),
         evaluate=_eval_inverse_laws,
         enumerate_inputs=_enum_tuples(2, nonzero=True),
-        arity=2,
     )
 )
 
@@ -352,18 +358,13 @@ _register(
         draw=_draw_tuple(2, nonzero=True),
         evaluate=_eval_no_zero_divisors,
         enumerate_inputs=_enum_tuples(2, nonzero=True),
-        arity=2,
     )
 )
 
 
 def _eval_difference_of_inverses(field, xs):
     x, y = xs
-    lhs = x.inv() - y.inv()
-    rhs = y.inv() * (y - x) * x.inv()
-    if lhs != rhs:
-        return [_witness(_labeled("xy", xs), lhs, rhs)]
-    return []
+    return _law("xy", xs, x.inv() - y.inv(), y.inv() * (y - x) * x.inv())
 
 
 _register(
@@ -373,18 +374,13 @@ _register(
         draw=_draw_tuple(2, nonzero=True),
         evaluate=_eval_difference_of_inverses,
         enumerate_inputs=_enum_tuples(2, nonzero=True),
-        arity=2,
     )
 )
 
 
 def _eval_norm_multiplicativity(field, xs):
     x, y = xs
-    lhs = field.norm(x * y)
-    rhs = field.norm(x) * field.norm(y)
-    if lhs != rhs:
-        return [_witness(_labeled("xy", xs), lhs, rhs)]
-    return []
+    return _law("xy", xs, field.norm(x * y), field.norm(x) * field.norm(y))
 
 
 _register(
@@ -433,23 +429,14 @@ _register(
 # ---------------------------------------------------------------- ratio checks
 
 
-def _draw_ratio2_inputs(field, rng):
-    return _draw_tuple(3, nonzero=True)(field, rng)
-
-
 def _eval_ratio2_laws(field, xs):
     a, b, c = xs
-    tags = _labeled("ABC", xs)
-    fails = []
-
-    def law(tag, lhs, rhs):
-        if lhs != rhs:
-            fails.append(_witness([f"law={tag}"] + tags, lhs, rhs))
-
-    law("sum-splits", ratio2(a + b, c), ratio2(a, c) + ratio2(b, c))
-    law("product-in-first-slot", ratio2(a * b, c), ratio2(a, c) * b)
-    law("product-in-second-slot", ratio2(a, b * c), c.inv() * ratio2(a, b))
-    law("inverse-swaps-arguments", ratio2(a, b).inv(), ratio2(b, a))
+    fails = [
+        *_law("ABC", xs, ratio2(a + b, c), ratio2(a, c) + ratio2(b, c), law="sum-splits"),
+        *_law("ABC", xs, ratio2(a * b, c), ratio2(a, c) * b, law="product-in-first-slot"),
+        *_law("ABC", xs, ratio2(a, b * c), c.inv() * ratio2(a, b), law="product-in-second-slot"),
+        *_law("ABC", xs, ratio2(a, b).inv(), ratio2(b, a), law="inverse-swaps-arguments"),
+    ]
     for u, v, tag in ((a, b, "generic"), (b, b, "equal"), (-b, b, "negated")):
         symmetric = ratio2(u, v) == ratio2(v, u)
         trivial = u == v or u == -v
@@ -468,31 +455,26 @@ _register(
     CheckDef(
         name="ratio2_laws",
         description="two-point ratio arithmetic laws and the symmetry criterion",
-        draw=_draw_ratio2_inputs,
+        draw=_draw_tuple(3, nonzero=True),
         evaluate=_eval_ratio2_laws,
         enumerate_inputs=_enum_tuples(3, nonzero=True),
-        arity=3,
     )
 )
 
 
 def _eval_ratio3_laws(field, xs):
     a, b, c = xs
-    tags = _labeled("ABC", xs)
-    fails = []
-
-    def law(tag, lhs, rhs):
-        if lhs != rhs:
-            fails.append(_witness([f"law={tag}"] + tags, lhs, rhs))
-
-    law("negation-invariance", ratio3(-a, -b, -c), ratio3(a, b, c))
-    law("inverse-swaps-arguments", ratio3(a, b, c).inv(), ratio3(b, a, c))
-    law(
-        "inverse-points-conjugation",
-        ratio3(a.inv(), b.inv(), c.inv()),
-        b * ratio3(a, b, c) * a.inv(),
-    )
-    return fails
+    return [
+        *_law("ABC", xs, ratio3(-a, -b, -c), ratio3(a, b, c), law="negation-invariance"),
+        *_law("ABC", xs, ratio3(a, b, c).inv(), ratio3(b, a, c), law="inverse-swaps-arguments"),
+        *_law(
+            "ABC",
+            xs,
+            ratio3(a.inv(), b.inv(), c.inv()),
+            b * ratio3(a, b, c) * a.inv(),
+            law="inverse-points-conjugation",
+        ),
+    ]
 
 
 _register(
@@ -502,7 +484,6 @@ _register(
         draw=_draw_tuple(3, nonzero=True, distinct=True),
         evaluate=_eval_ratio3_laws,
         enumerate_inputs=_enum_tuples(3, nonzero=True, distinct=True),
-        arity=3,
     )
 )
 
@@ -510,10 +491,7 @@ _register(
 def _eval_ratio3_inverse_commutative(field, xs):
     a, b, c = xs
     lhs = ratio3(a.inv(), b.inv(), c.inv())
-    rhs = ratio3(a, b, c) * ratio3(b, a, field.zero)
-    if lhs != rhs:
-        return [_witness(_labeled("ABC", xs), lhs, rhs)]
-    return []
+    return _law("ABC", xs, lhs, ratio3(a, b, c) * ratio3(b, a, field.zero))
 
 
 _register(
@@ -524,7 +502,6 @@ _register(
         draw=_draw_tuple(3, nonzero=True, distinct=True),
         evaluate=_eval_ratio3_inverse_commutative,
         enumerate_inputs=_enum_tuples(3, nonzero=True, distinct=True),
-        arity=3,
     )
 )
 
@@ -570,11 +547,7 @@ _register(
 
 def _eval_cr_inverse_swap(field, xs):
     a, b, c, d = xs
-    lhs = cross_ratio(a, b, d, c)
-    rhs = cross_ratio(a, b, c, d).value.inv()
-    if lhs != rhs:
-        return [_witness(_labeled("ABCD", xs), lhs, rhs)]
-    return []
+    return _law("ABCD", xs, cross_ratio(a, b, d, c), cross_ratio(a, b, c, d).value.inv())
 
 
 _register(
@@ -584,7 +557,6 @@ _register(
         draw=_draw_tuple(4, distinct=True),
         evaluate=_eval_cr_inverse_swap,
         enumerate_inputs=_enum_tuples(4, distinct=True),
-        arity=4,
     )
 )
 
@@ -593,11 +565,7 @@ def _eval_cr_negation_invariance(field, xs):
     # -1 is central, so both bracket factors of the defining product are
     # unchanged when every point is negated.
     a, b, c, d = xs
-    lhs = cross_ratio(-a, -b, -c, -d)
-    rhs = cross_ratio(a, b, c, d)
-    if lhs != rhs:
-        return [_witness(_labeled("ABCD", xs), lhs, rhs)]
-    return []
+    return _law("ABCD", xs, cross_ratio(-a, -b, -c, -d), cross_ratio(a, b, c, d))
 
 
 _register(
@@ -607,18 +575,12 @@ _register(
         draw=_draw_tuple(4, distinct=True),
         evaluate=_eval_cr_negation_invariance,
         enumerate_inputs=_enum_tuples(4, distinct=True),
-        arity=4,
     )
 )
 
 
 def _eval_cr_alternative_formula(field, xs):
-    a, b, c, d = xs
-    lhs = cross_ratio(a, b, c, d)
-    rhs = cross_ratio_alt(a, b, c, d)
-    if lhs != rhs:
-        return [_witness(_labeled("ABCD", xs), lhs, rhs)]
-    return []
+    return _law("ABCD", xs, cross_ratio(*xs), cross_ratio_alt(*xs))
 
 
 _register(
@@ -628,18 +590,13 @@ _register(
         draw=_draw_tuple(4, distinct=True),
         evaluate=_eval_cr_alternative_formula,
         enumerate_inputs=_enum_tuples(4, distinct=True),
-        arity=4,
     )
 )
 
 
 def _eval_cr_complement(field, xs):
     a, b, c, d = xs
-    lhs = field.one - cross_ratio(a, b, c, d).value
-    rhs = cross_ratio(a, c, b, d)
-    if rhs != ExtendedPoint.finite(lhs):
-        return [_witness(_labeled("ABCD", xs), lhs, rhs)]
-    return []
+    return _law("ABCD", xs, field.one - cross_ratio(a, b, c, d).value, cross_ratio(a, c, b, d))
 
 
 _register(
@@ -649,7 +606,6 @@ _register(
         draw=_draw_tuple(4, distinct=True),
         evaluate=_eval_cr_complement,
         enumerate_inputs=_enum_tuples(4, distinct=True),
-        arity=4,
     )
 )
 
@@ -660,17 +616,11 @@ def _eval_cr_permutation_trio(field, xs):
     a, b, c, d = xs
     x = cross_ratio(a, b, c, d).value
     one = field.one
-    tags = _labeled("ABCD", xs)
-    fails = []
-
-    def law(tag, lhs, rhs):
-        if lhs != ExtendedPoint.finite(rhs):
-            fails.append(_witness([f"law={tag}"] + tags, lhs, rhs))
-
-    law("swap-to-BC", cross_ratio(a, d, b, c), one - x.inv())
-    law("swap-to-DB", cross_ratio(a, c, d, b), (one - x).inv())
-    law("swap-to-CB", cross_ratio(a, d, c, b), (x - one).inv() * x)
-    return fails
+    return [
+        *_law("ABCD", xs, cross_ratio(a, d, b, c), one - x.inv(), law="swap-to-BC"),
+        *_law("ABCD", xs, cross_ratio(a, c, d, b), (one - x).inv(), law="swap-to-DB"),
+        *_law("ABCD", xs, cross_ratio(a, d, c, b), (x - one).inv() * x, law="swap-to-CB"),
+    ]
 
 
 _register(
@@ -680,41 +630,26 @@ _register(
         draw=_draw_tuple(4, distinct=True),
         evaluate=_eval_cr_permutation_trio,
         enumerate_inputs=_enum_tuples(4, distinct=True),
-        arity=4,
     )
 )
 
 
-def _conjugation_runner(field: Field, seed: int, samples: int) -> dict:
-    check = CHECKS["cr_inverse_points_conjugation"]
-    record = _base_record(check, "sampled")
-    form_abcd = form_acbd = 0
-    for index in range(samples):
-        rng = _sample_rng(seed, check.name, index)
-        inputs, redraws = _draw_valid(check, field, rng)
-        record["redraws"] += redraws
-        a, b, c, d = inputs
-        lhs = cross_ratio(a.inv(), b.inv(), c.inv(), d.inv())
-        candidate_abcd = a * cross_ratio(a, b, c, d).value * a.inv()
-        candidate_acbd = a * cross_ratio(a, c, b, d).value * a.inv()
-        if lhs == ExtendedPoint.finite(candidate_abcd):
-            form_abcd += 1
-        if lhs == ExtendedPoint.finite(candidate_acbd):
-            form_acbd += 1
-        record["samples_run"] += 1
-        if lhs != ExtendedPoint.finite(candidate_abcd):
-            record["failures"] += 1
-            if len(record["witnesses"]) < WITNESS_CAP:
-                record["witnesses"].append(
-                    _witness(_labeled("ABCD", inputs), lhs, candidate_abcd)
-                )
-    record["passed"] = record["failures"] == 0
-    record["details"] = {
+def _eval_cr_inverse_points_conjugation(field, xs):
+    a, b, c, d = xs
+    lhs = cross_ratio(a.inv(), b.inv(), c.inv(), d.inv())
+    return _law("ABCD", xs, lhs, a * cross_ratio(a, b, c, d).value * a.inv())
+
+
+def _conjugation_details(field, xs):
+    # Counts for the pinned form and its competitor, the argument order that
+    # swaps B and C; resolve_conjugation_form reads them.
+    a, b, c, d = xs
+    lhs = cross_ratio(a.inv(), b.inv(), c.inv(), d.inv())
+    return {
         "pinned_form": "A * cr(A,B;C,D) * A^-1",
-        "form_abcd_matches": form_abcd,
-        "form_acbd_matches": form_acbd,
+        "form_abcd_matches": lhs == a * cross_ratio(a, b, c, d).value * a.inv(),
+        "form_acbd_matches": lhs == a * cross_ratio(a, c, b, d).value * a.inv(),
     }
-    return record
 
 
 _register(
@@ -722,7 +657,8 @@ _register(
         name="cr_inverse_points_conjugation",
         description="inverting all points conjugates the cross-ratio by A",
         draw=_draw_tuple(4, nonzero=True, distinct=True),
-        runner=_conjugation_runner,
+        evaluate=_eval_cr_inverse_points_conjugation,
+        details=_conjugation_details,
     )
 )
 
@@ -743,11 +679,7 @@ def _draw_central_first(field, rng):
 
 def _eval_central_collapse(field, xs):
     a, b, c, d = xs
-    lhs = cross_ratio(a.inv(), b.inv(), c.inv(), d.inv())
-    rhs = cross_ratio(a, b, c, d)
-    if lhs != rhs:
-        return [_witness(_labeled("ABCD", xs), lhs, rhs)]
-    return []
+    return _law("ABCD", xs, cross_ratio(a.inv(), b.inv(), c.inv(), d.inv()), cross_ratio(*xs))
 
 
 _register(
@@ -757,18 +689,13 @@ _register(
         draw=_draw_central_first,
         evaluate=_eval_central_collapse,
         enumerate_inputs=_enum_tuples(4, nonzero=True, distinct=True),
-        arity=4,
     )
 )
 
 
 def _eval_cr_commutative_symmetry(field, xs):
     a, b, c, d = xs
-    lhs = cross_ratio(a, b, c, d)
-    rhs = cross_ratio(b, a, d, c)
-    if lhs != rhs:
-        return [_witness(_labeled("ABCD", xs), lhs, rhs)]
-    return []
+    return _law("ABCD", xs, cross_ratio(a, b, c, d), cross_ratio(b, a, d, c))
 
 
 _register(
@@ -779,28 +706,8 @@ _register(
         draw=_draw_tuple(4, distinct=True),
         evaluate=_eval_cr_commutative_symmetry,
         enumerate_inputs=_enum_tuples(4, distinct=True),
-        arity=4,
     )
 )
-
-
-def _noncommutativity_runner(field: Field, seed: int, samples: int) -> dict:
-    check = CHECKS["cr_noncommutativity_witness"]
-    record = _base_record(check, "sampled")
-    record["passed"] = False
-    for index in range(samples):
-        rng = _sample_rng(seed, check.name, index)
-        inputs, redraws = _draw_valid(check, field, rng)
-        record["redraws"] += redraws
-        record["samples_run"] += 1
-        a, b, c, d = inputs
-        lhs = cross_ratio(a, b, c, d)
-        rhs = cross_ratio(b, a, d, c)
-        if lhs != rhs:
-            record["passed"] = True
-            record["witnesses"].append(_witness(_labeled("ABCD", inputs), lhs, rhs))
-            break
-    return record
 
 
 _register(
@@ -810,7 +717,7 @@ _register(
         scope="noncommutative",
         kind="witness-search",
         draw=_draw_tuple(4, distinct=True),
-        runner=_noncommutativity_runner,
+        evaluate=_eval_cr_commutative_symmetry,
     )
 )
 
@@ -834,14 +741,9 @@ def _draw_commuting_ratios(field, rng):
 
 def _eval_commuting_ratios(field, xs):
     a, b, c, d = xs
-    tags = _labeled("ABCD", xs)
     if not commutes(ratio3(b, a, d), ratio3(a, b, c)):
-        return [_witness(tags, "ratio points do not commute", "conditioned draw")]
-    lhs = cross_ratio(a, b, c, d)
-    rhs = cross_ratio(b, a, d, c)
-    if lhs != rhs:
-        return [_witness(tags, lhs, rhs)]
-    return []
+        return [_witness(_labeled("ABCD", xs), "ratio points do not commute", "conditioned draw")]
+    return _eval_cr_commutative_symmetry(field, xs)
 
 
 _register(
@@ -856,11 +758,7 @@ _register(
 
 def _eval_cr_factorization(field, xs):
     a, b, c, d = xs
-    lhs = cross_ratio(a, b, c, d)
-    rhs = ratio3(b, a, d) * ratio3(a, b, c)
-    if lhs != ExtendedPoint.finite(rhs):
-        return [_witness(_labeled("ABCD", xs), lhs, rhs)]
-    return []
+    return _law("ABCD", xs, cross_ratio(a, b, c, d), ratio3(b, a, d) * ratio3(a, b, c))
 
 
 _register(
@@ -870,7 +768,6 @@ _register(
         draw=_draw_tuple(4, distinct=True),
         evaluate=_eval_cr_factorization,
         enumerate_inputs=_enum_tuples(4, distinct=True),
-        arity=4,
     )
 )
 
@@ -878,18 +775,18 @@ _register(
 def _eval_cr_infinity_reductions(field, xs):
     a, b, c, d = xs
     inf = ExtendedPoint.infinity(field)
-    tags = _labeled("ABCD", xs)
-    fails = []
-
-    def law(tag, lhs, rhs):
-        if lhs != ExtendedPoint.finite(rhs):
-            fails.append(_witness([f"law={tag}"] + tags, lhs, rhs))
-
-    law("first-infinite", cross_ratio(inf, b, c, d), (b - d) * (b - c).inv())
-    law("second-infinite", cross_ratio(a, inf, c, d), (a - d).inv() * (a - c))
-    law("third-infinite", cross_ratio(a, b, inf, d), (a - d).inv() * (b - d))
-    law("fourth-infinite", cross_ratio(a, b, c, inf), ratio3(a, b, c))
-    return fails
+    return [
+        *_law(
+            "ABCD", xs, cross_ratio(inf, b, c, d), (b - d) * (b - c).inv(), law="first-infinite"
+        ),
+        *_law(
+            "ABCD", xs, cross_ratio(a, inf, c, d), (a - d).inv() * (a - c), law="second-infinite"
+        ),
+        *_law(
+            "ABCD", xs, cross_ratio(a, b, inf, d), (a - d).inv() * (b - d), law="third-infinite"
+        ),
+        *_law("ABCD", xs, cross_ratio(a, b, c, inf), ratio3(a, b, c), law="fourth-infinite"),
+    ]
 
 
 _register(
@@ -899,7 +796,6 @@ _register(
         draw=_draw_tuple(4, distinct=True),
         evaluate=_eval_cr_infinity_reductions,
         enumerate_inputs=_enum_tuples(4, distinct=True),
-        arity=4,
     )
 )
 
@@ -925,9 +821,7 @@ def _eval_solve_roundtrip(field, inputs):
     fails = []
     if d in (a, b, c):
         fails.append(_witness(tags, d, "a fourth point distinct from A, B, C"))
-    got = cross_ratio(a, b, c, d)
-    if got != ExtendedPoint.finite(r):
-        fails.append(_witness(tags + [f"D={d}"], got, r))
+    fails += _law("RABCD", (r, a, b, c, d), cross_ratio(a, b, c, d), r)
     if solve_fourth_point(r, a, b, c) != d:
         fails.append(_witness(tags, "re-solve differs", d))
     return fails
@@ -1007,18 +901,13 @@ def _draw_chart(field, rng):
 
 def _eval_chart(field, inputs):
     o, i, t = inputs
-    tags = [f"O={o}", f"I={i}", f"t={t}"]
-    fails = []
     p = point_at(o, i, t)
-    if coordinatize(o, i, p) != t:
-        fails.append(_witness(tags, coordinatize(o, i, p), t))
-    if point_at(o, i, coordinatize(o, i, p)) != p:
-        fails.append(_witness(tags, point_at(o, i, coordinatize(o, i, p)), p))
-    if not coordinatize(o, i, o).is_zero:
-        fails.append(_witness(tags, coordinatize(o, i, o), "0"))
-    if coordinatize(o, i, i) != field.one:
-        fails.append(_witness(tags, coordinatize(o, i, i), "1"))
-    return fails
+    return [
+        *_law("OIt", inputs, coordinatize(o, i, p), t),
+        *_law("OIt", inputs, point_at(o, i, coordinatize(o, i, p)), p),
+        *_law("OIt", inputs, coordinatize(o, i, o), field.zero),
+        *_law("OIt", inputs, coordinatize(o, i, i), field.one),
+    ]
 
 
 _register(
@@ -1045,14 +934,13 @@ def _draw_geometric(field, rng):
     return (o, i, a, b, aux)
 
 
+_GEOMETRIC_NAMES = ("O", "I", "a", "b", "aux")
+
+
 def _eval_geometric_add(field, inputs):
     o, i, a, b, aux = inputs
     result = geometric_add(o, i, point_at(o, i, a), point_at(o, i, b), aux)
-    got = coordinatize(o, i, result)
-    if got != a + b:
-        tags = [f"O={o}", f"I={i}", f"a={a}", f"b={b}", f"aux={aux}"]
-        return [_witness(tags, got, a + b)]
-    return []
+    return _law(_GEOMETRIC_NAMES, inputs, coordinatize(o, i, result), a + b)
 
 
 _register(
@@ -1068,11 +956,7 @@ _register(
 def _eval_geometric_mul(field, inputs):
     o, i, a, b, aux = inputs
     result = geometric_mul(o, i, point_at(o, i, a), point_at(o, i, b), aux)
-    got = coordinatize(o, i, result)
-    if got != a * b:
-        tags = [f"O={o}", f"I={i}", f"a={a}", f"b={b}", f"aux={aux}"]
-        return [_witness(tags, got, a * b)]
-    return []
+    return _law(_GEOMETRIC_NAMES, inputs, coordinatize(o, i, result), a * b)
 
 
 _register(
@@ -1167,25 +1051,13 @@ def resolve_conjugation_form(seed: int, samples: int, field: Field | None = None
     match counts for both and the name of the unique full matcher.  The
     candidates are distinct argument permutations, so they stay apart even
     over a commutative field where the conjugation itself is trivial.
+    The counts are the details of the cr_inverse_points_conjugation check,
+    run on its own seeded draws.
     """
     field = field if field is not None else QuaternionField()
-    draw = _draw_tuple(4, nonzero=True, distinct=True)
-    form_abcd = form_acbd = 0
-    for index in range(samples):
-        rng = _sample_rng(seed, "resolve_conjugation_form", index)
-        inputs = draw(field, rng)
-        tries = 0
-        while inputs is None:
-            tries += 1
-            if tries >= REDRAW_CAP:
-                raise RuntimeError(f"cannot draw distinct nonzero tuples over {field}")
-            inputs = draw(field, rng)
-        a, b, c, d = inputs
-        lhs = cross_ratio(a.inv(), b.inv(), c.inv(), d.inv())
-        if lhs == ExtendedPoint.finite(a * cross_ratio(a, b, c, d).value * a.inv()):
-            form_abcd += 1
-        if lhs == ExtendedPoint.finite(a * cross_ratio(a, c, b, d).value * a.inv()):
-            form_acbd += 1
+    spec = CheckSpec("cr_inverse_points_conjugation", field, samples, seed)
+    details = run_check(spec)["details"]
+    form_abcd, form_acbd = details["form_abcd_matches"], details["form_acbd_matches"]
     if form_abcd == samples and form_acbd == samples:
         resolved = "both"
     elif form_abcd == samples:

@@ -5,9 +5,14 @@ Exit code contract: 0 ok, 1 failed verification, 2 parse/config,
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import crossratio
 from crossratio.cli import main
 
 
@@ -15,6 +20,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, timeout=30):
+    """Run the CLI in a fresh interpreter, so a hang fails the test instead of stalling it."""
+    src = str(pathlib.Path(crossratio.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "crossratio", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 # ---------------------------------------------------------------- eval
@@ -60,6 +77,24 @@ def test_eval_bad_literal(capsys):
 def test_nonprime_field_selector(capsys):
     code, _, err = run_cli(capsys, "eval", "--field", "gf:4", "2", "3", "1", "0")
     assert code == 2
+
+
+def test_eval_over_a_61_bit_mersenne_prime_field():
+    done = run_process("eval", "--field", f"gf:{2**61 - 1}", "1", "2", "3", "4")
+    assert done.returncode == 0 and done.stdout.strip().isdigit()
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [
+        2**89 - 1,  # prime, but above the range the primality test is exact in
+        399165290221 * 798330580441,  # strong pseudoprime to every prime base up to 37
+    ],
+)
+def test_unusable_large_modulus_is_a_config_error(modulus):
+    done = run_process("eval", "--field", f"gf:{modulus}", "1", "2", "3", "4")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 def test_gf_eval(capsys):
@@ -150,6 +185,13 @@ def test_verify_unwritable_output_is_io_error(capsys):
         "--out", "/nonexistent-dir/report.json",
     )
     assert code == 5
+
+
+@pytest.mark.parametrize("field", ["gf:2", "gf:3"])
+def test_verify_over_a_tiny_field_is_a_config_error(capsys, field):
+    code, out, err = run_cli(capsys, "verify", "--field", field)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- construct
@@ -269,6 +311,13 @@ def test_desargues_tamper_flag_alias(capsys):
         "--flip-C'",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_desargues_count_must_be_positive(capsys, count):
+    code, out, err = run_cli(capsys, "desargues", "--field", "rational", "--count", count)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------- parser

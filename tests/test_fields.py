@@ -16,6 +16,7 @@ from crossratio.fields import (
     DivisionByZeroError,
     FieldMismatchError,
     GaloisField,
+    _is_prime,
     commutes,
     conjugate_by,
     field_by_name,
@@ -81,6 +82,13 @@ def test_nonprime_modulus_rejected():
     for n in (4, 6, 9, 100):
         with pytest.raises(ValueError):
             GaloisField(n)
+
+
+def test_primality_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**4) if _is_prime(n)] == [n for n in range(10**4) if trial(n)]
 
 
 def test_identity_elements(field):

@@ -1,10 +1,12 @@
 """Deterministic seeded verification engine: records, skips, strategies."""
 
+import hashlib
 import json
 
 import pytest
 
 from conftest import GF5, GF101, QUATERNION, RATIONAL
+from crossratio import ratio, verify
 from crossratio.verify import (
     CHECKS,
     CheckDef,
@@ -99,6 +101,26 @@ def test_exhaustive_strategy_needs_enumerable_field():
         run_check(CheckSpec("cr_inverse_swap", "gf:101", 10, 0), strategy="exhaustive")
 
 
+@pytest.mark.parametrize("name", ["cr_inverse_points_conjugation", "cr_noncommutativity_witness"])
+def test_exhaustive_strategy_needs_an_enumerator(name):
+    with pytest.raises(ValueError):
+        run_check(CheckSpec(name, "gf:5", 10, 0), strategy="exhaustive")
+
+
+@pytest.mark.parametrize(
+    "name, strategy",
+    [
+        ("ratio3_laws", "auto"),  # three distinct nonzero points: none over GF(3)
+        ("cr_inverse_swap", "exhaustive"),  # four distinct points: none over GF(3)
+        ("cr_inverse_swap", "sampled"),  # every draw is rejected
+    ],
+)
+def test_check_without_valid_inputs_is_an_error(name, strategy):
+    with pytest.raises(ValueError) as exc:
+        run_check(CheckSpec(name, "gf:3", 10, 0), strategy=strategy)
+    assert exc.type is verify.NoValidInputError
+
+
 # ---------------------------------------------------------------- witness search
 
 
@@ -130,7 +152,6 @@ def test_failing_check_reports_capped_witnesses():
         evaluate=lambda field, xs: [
             {"inputs": [str(xs[0])], "lhs": str(field.zero), "rhs": str(field.one)}
         ],
-        arity=1,
     )
     try:
         rec = run_check(CheckSpec(name, "rational", 40, 0))
@@ -220,3 +241,48 @@ def test_conjugation_resolver_same_answer_over_commutative_fields():
 def test_conjugation_collapses_for_central_first_point():
     rec = run_check(CheckSpec("cr_central_collapse", "quaternion", 50, 3))
     assert rec["passed"]
+
+
+# ---------------------------------------------------------------- golden reports
+#
+# sha256 of the `verify --format json` bytes (the report without its
+# timestamp).  Any refactor of the engine must leave these unchanged.
+
+
+def report_digest(field, seed, samples):
+    report = run_suite(field, seed, samples)
+    report.pop("timestamp")
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "field, seed, samples, digest",
+    [
+        ("rational", 7, 25, "b672140e3776c390b96bb7be50fcea01f9f12d06b9a3ef6f1af9859f660fa119"),
+        ("gf:5", 7, 25, "901b354c15c60b952a7478a2bd57775f34e5b94f8587e74a5f407959bbb242a4"),
+        ("gf:7", 7, 25, "bb0d093e9cac7069476f385a9b33742b95c8cec36cc79371ceb1438f6b604434"),
+        ("gf:101", 7, 25, "86429dbcef892fcf9d59c4e3144cb8affd15de914ab889f781c072e2772cedea"),
+        ("quaternion", 7, 5, "9f6fda2f251e5ae8a393699d4575042383985947cfafc3833b02343b12fc3ec4"),
+    ],
+)
+def test_passing_report_bytes_are_pinned(field, seed, samples, digest):
+    assert report_digest(field, seed, samples) == digest
+
+
+@pytest.fixture
+def broken_ratios(monkeypatch):
+    """Corrupt the ratio functions the checks call, so witnesses get recorded."""
+    monkeypatch.setattr(verify, "cross_ratio", lambda *args: -ratio.cross_ratio(*args))
+    monkeypatch.setattr(verify, "ratio2", lambda *args: ratio.ratio2(*args) + args[0].field.one)
+    monkeypatch.setattr(verify, "ratio3", lambda *args: ratio.ratio3(*args) + args[0].field.one)
+
+
+@pytest.mark.parametrize(
+    "field, seed, samples, digest",
+    [
+        ("rational", 7, 12, "6024d4097e24b3c8961a765d1bd39b473ea75b32ebd696b910995a3001306e0a"),
+        ("quaternion", 7, 4, "4ba08646bbc63d6e56b09d3e6041ed649abca169a6b11745131d5374d306b0f8"),
+    ],
+)
+def test_failing_report_bytes_are_pinned(broken_ratios, field, seed, samples, digest):
+    assert report_digest(field, seed, samples) == digest
