@@ -19,9 +19,7 @@ from .fields import (
     commutes,
     conjugate_by,
     field_by_name,
-    format_element,
     is_central,
-    parse_element,
 )
 from .plane import (
     AuxiliaryPointError,
@@ -60,12 +58,8 @@ from .ratio import (
     InvalidRatioPointError,
     cross_ratio,
     cross_ratio_alt,
-    invert_all,
-    negate_all,
     ratio2,
-    ratio2_swapped,
     ratio3,
-    ratio3_swapped,
     solve_fourth_point,
 )
 from .verify import (

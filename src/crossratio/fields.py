@@ -12,8 +12,8 @@ The module also owns the element literal grammar shared with the CLI:
     quaternion := term (('+'|'-') term)*
     term       := rational unit? | unit ;  unit := 'i' | 'j' | 'k'
 
-Whitespace is ignored.  ``format_element(parse_element(field, s))`` is the
-canonical spelling of ``s``.
+Whitespace is ignored.  ``str(field.parse(s))`` is the canonical spelling
+of ``s``.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ class Field:
 
     @property
     def zero(self) -> Element:
-        return Element(self, self._zero())
+        return Element(self, self._coerce(0))
 
     @property
     def one(self) -> Element:
-        return Element(self, self._one())
+        return Element(self, self._coerce(1))
 
     def element(self, raw) -> Element:
         """Coerce an int, Fraction, literal string, or payload to an Element."""
@@ -142,12 +142,6 @@ class RationalField(Field):
 
     name = "rational"
     commutative = True
-
-    def _zero(self):
-        return Fraction(0)
-
-    def _one(self):
-        return Fraction(1)
 
     def _coerce(self, raw):
         if isinstance(raw, (int, Fraction)):
@@ -237,12 +231,6 @@ class GaloisField(Field):
         self.p = p
         self.name = f"gf:{p}"
 
-    def _zero(self):
-        return 0
-
-    def _one(self):
-        return 1
-
     def _coerce(self, raw):
         if isinstance(raw, int):
             return raw % self.p
@@ -300,13 +288,6 @@ class QuaternionField(Field):
 
     name = "quaternion"
     commutative = False
-
-    def _zero(self):
-        z = Fraction(0)
-        return (z, z, z, z)
-
-    def _one(self):
-        return (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
     def _coerce(self, raw):
         if isinstance(raw, (int, Fraction)):
@@ -435,16 +416,6 @@ def _parse_quaternion(text: str):
     return tuple(parts)
 
 
-def parse_element(field: Field, text: str) -> Element:
-    """Parse an element literal in the grammar above, in the field's context."""
-    return field.parse(text)
-
-
-def format_element(x: Element) -> str:
-    """Canonical literal for an element; inverse of parse_element."""
-    return str(x)
-
-
 def field_by_name(name: str) -> Field:
     """Resolve a field selector: 'rational', 'gf:P' (P prime), or 'quaternion'."""
     if name == "rational":
@@ -461,8 +432,6 @@ def field_by_name(name: str) -> Field:
 
 def commutes(x: Element, y: Element) -> bool:
     """Whether x*y == y*x."""
-    if x.field != y.field:
-        raise FieldMismatchError(f"mixing elements of {x.field} and {y.field}")
     return x * y == y * x
 
 

@@ -71,7 +71,8 @@ class ExtendedPoint:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        # A finite point equals its element, so it must hash like it.
+        return hash((self.field, None)) if self.is_infinity else hash(self.value)
 
     def __str__(self):
         return "inf" if self.is_infinity else str(self.value)
@@ -103,21 +104,11 @@ def ratio2(a: Element, b: Element) -> Element:
     return b.inv() * a
 
 
-def ratio2_swapped(a: Element, b: Element) -> Element:
-    """r(B:A), the swapped companion of ratio2 (equals its inverse)."""
-    return ratio2(b, a)
-
-
 def ratio3(a: Element, b: Element, c: Element) -> Element:
     """3-point ratio r(A,B;C) = (B-C)^-1 (A-C); requires B != C."""
     if b == c:
         raise DivisionByZeroError("ratio of three points needs B != C")
     return (b - c).inv() * (a - c)
-
-
-def ratio3_swapped(a: Element, b: Element, c: Element) -> Element:
-    """r(B,A;C), the swapped companion of ratio3 (equals its inverse)."""
-    return ratio3(b, a, c)
 
 
 def cross_ratio(
@@ -200,13 +191,3 @@ def solve_fourth_point(r: Element, a: Element, b: Element, c: Element) -> Elemen
     if s == s.field.one:
         raise InfiniteSolutionError("the fourth point for this value lies at infinity")
     return (a * s - b) * (s - s.field.one).inv()
-
-
-def negate_all(a, b, c, d):
-    """Componentwise negation of a 4-tuple; infinity is a fixed point."""
-    return (-a, -b, -c, -d)
-
-
-def invert_all(a: Element, b: Element, c: Element, d: Element):
-    """Componentwise inverse of four finite nonzero points."""
-    return (a.inv(), b.inv(), c.inv(), d.inv())

@@ -103,9 +103,18 @@ class CheckDef:
 CHECKS: dict[str, CheckDef] = {}
 
 
-def _register(check: CheckDef) -> CheckDef:
-    CHECKS[check.name] = check
-    return check
+def _check(name: str, description: str, **fields):
+    """Register the decorated function as the evaluator of check `name`.
+
+    Registration order is report order.  The function is returned as it
+    is, so one evaluator can serve two checks.
+    """
+
+    def register(evaluate):
+        CHECKS[name] = CheckDef(name, description, evaluate=evaluate, **fields)
+        return evaluate
+
+    return register
 
 
 def _witness(inputs: list[str], lhs, rhs) -> dict:
@@ -260,7 +269,9 @@ def run_suite(field: Field | str, seed: int, samples: int = 1000) -> dict:
 # ---------------------------------------------------------------- draws
 
 
-def _draw_tuple(count: int, nonzero: bool = False, distinct: bool = False):
+def _tuples(count: int, nonzero: bool = False, distinct: bool = False) -> dict:
+    """The `draw` and `enumerate_inputs` of one domain of element `count`-tuples."""
+
     def draw(field, rng):
         out = []
         for _ in range(count):
@@ -270,10 +281,6 @@ def _draw_tuple(count: int, nonzero: bool = False, distinct: bool = False):
             out.append(x)
         return tuple(out)
 
-    return draw
-
-
-def _enum_tuples(count: int, nonzero: bool = False, distinct: bool = False):
     def enumerate_inputs(field):
         elems = field.elements()
         if nonzero:
@@ -282,7 +289,10 @@ def _enum_tuples(count: int, nonzero: bool = False, distinct: bool = False):
             return itertools.permutations(elems, count)
         return itertools.product(elems, repeat=count)
 
-    return enumerate_inputs
+    return {"draw": draw, "enumerate_inputs": enumerate_inputs}
+
+
+_draw_distinct_triple = _tuples(3, distinct=True)["draw"]
 
 
 def _draw_scalar_int(rng, lo=-20, hi=20, nonzero=False):
@@ -295,6 +305,11 @@ def _draw_scalar_int(rng, lo=-20, hi=20, nonzero=False):
 # ---------------------------------------------------------------- field checks
 
 
+@_check(
+    "field_axioms",
+    "ring axioms with two-sided distributivity and additive inverses",
+    **_tuples(3),
+)
 def _eval_field_axioms(field, xs):
     x, y, z = xs
     return [
@@ -310,17 +325,11 @@ def _eval_field_axioms(field, xs):
     ]
 
 
-_register(
-    CheckDef(
-        name="field_axioms",
-        description="ring axioms with two-sided distributivity and additive inverses",
-        draw=_draw_tuple(3),
-        evaluate=_eval_field_axioms,
-        enumerate_inputs=_enum_tuples(3),
-    )
+@_check(
+    "multiplicative_inverse_laws",
+    "x^-1 is two-sided, involutive, and reverses products",
+    **_tuples(2, nonzero=True),
 )
-
-
 def _eval_inverse_laws(field, xs):
     x, y = xs
     return [
@@ -333,17 +342,7 @@ def _eval_inverse_laws(field, xs):
     ]
 
 
-_register(
-    CheckDef(
-        name="multiplicative_inverse_laws",
-        description="x^-1 is two-sided, involutive, and reverses products",
-        draw=_draw_tuple(2, nonzero=True),
-        evaluate=_eval_inverse_laws,
-        enumerate_inputs=_enum_tuples(2, nonzero=True),
-    )
-)
-
-
+@_check("no_zero_divisors", "products of nonzero elements are nonzero", **_tuples(2, nonzero=True))
 def _eval_no_zero_divisors(field, xs):
     x, y = xs
     if (x * y).is_zero:
@@ -351,47 +350,25 @@ def _eval_no_zero_divisors(field, xs):
     return []
 
 
-_register(
-    CheckDef(
-        name="no_zero_divisors",
-        description="products of nonzero elements are nonzero",
-        draw=_draw_tuple(2, nonzero=True),
-        evaluate=_eval_no_zero_divisors,
-        enumerate_inputs=_enum_tuples(2, nonzero=True),
-    )
+@_check(
+    "difference_of_inverses",
+    "x^-1 - y^-1 = y^-1 (y - x) x^-1 for nonzero x, y",
+    **_tuples(2, nonzero=True),
 )
-
-
 def _eval_difference_of_inverses(field, xs):
     x, y = xs
     return _law("xy", xs, x.inv() - y.inv(), y.inv() * (y - x) * x.inv())
 
 
-_register(
-    CheckDef(
-        name="difference_of_inverses",
-        description="x^-1 - y^-1 = y^-1 (y - x) x^-1 for nonzero x, y",
-        draw=_draw_tuple(2, nonzero=True),
-        evaluate=_eval_difference_of_inverses,
-        enumerate_inputs=_enum_tuples(2, nonzero=True),
-    )
+@_check(
+    "norm_multiplicativity",
+    "quaternion norm is multiplicative over exact rationals",
+    scope="quaternion",
+    draw=_tuples(2)["draw"],
 )
-
-
 def _eval_norm_multiplicativity(field, xs):
     x, y = xs
     return _law("xy", xs, field.norm(x * y), field.norm(x) * field.norm(y))
-
-
-_register(
-    CheckDef(
-        name="norm_multiplicativity",
-        description="quaternion norm is multiplicative over exact rationals",
-        scope="quaternion",
-        draw=_draw_tuple(2),
-        evaluate=_eval_norm_multiplicativity,
-    )
-)
 
 
 def _draw_center_membership(field, rng):
@@ -401,6 +378,11 @@ def _draw_center_membership(field, rng):
     return (x, scalar, probes)
 
 
+@_check(
+    "center_membership",
+    "is_central agrees with commuting against basis plus 50 probes",
+    draw=_draw_center_membership,
+)
 def _eval_center_membership(field, inputs):
     x, scalar, probes = inputs
     fails = []
@@ -416,19 +398,14 @@ def _eval_center_membership(field, inputs):
     return fails
 
 
-_register(
-    CheckDef(
-        name="center_membership",
-        description="is_central agrees with commuting against basis plus 50 probes",
-        draw=_draw_center_membership,
-        evaluate=_eval_center_membership,
-    )
-)
-
-
 # ---------------------------------------------------------------- ratio checks
 
 
+@_check(
+    "ratio2_laws",
+    "two-point ratio arithmetic laws and the symmetry criterion",
+    **_tuples(3, nonzero=True),
+)
 def _eval_ratio2_laws(field, xs):
     a, b, c = xs
     fails = [
@@ -451,17 +428,11 @@ def _eval_ratio2_laws(field, xs):
     return fails
 
 
-_register(
-    CheckDef(
-        name="ratio2_laws",
-        description="two-point ratio arithmetic laws and the symmetry criterion",
-        draw=_draw_tuple(3, nonzero=True),
-        evaluate=_eval_ratio2_laws,
-        enumerate_inputs=_enum_tuples(3, nonzero=True),
-    )
+@_check(
+    "ratio3_laws",
+    "three-point ratio laws: negation, inversion, argument swap",
+    **_tuples(3, nonzero=True, distinct=True),
 )
-
-
 def _eval_ratio3_laws(field, xs):
     a, b, c = xs
     return [
@@ -477,33 +448,16 @@ def _eval_ratio3_laws(field, xs):
     ]
 
 
-_register(
-    CheckDef(
-        name="ratio3_laws",
-        description="three-point ratio laws: negation, inversion, argument swap",
-        draw=_draw_tuple(3, nonzero=True, distinct=True),
-        evaluate=_eval_ratio3_laws,
-        enumerate_inputs=_enum_tuples(3, nonzero=True, distinct=True),
-    )
+@_check(
+    "ratio3_inverse_commutative",
+    "commutative form of the inverse-points ratio law",
+    scope="commutative",
+    **_tuples(3, nonzero=True, distinct=True),
 )
-
-
 def _eval_ratio3_inverse_commutative(field, xs):
     a, b, c = xs
     lhs = ratio3(a.inv(), b.inv(), c.inv())
     return _law("ABC", xs, lhs, ratio3(a, b, c) * ratio3(b, a, field.zero))
-
-
-_register(
-    CheckDef(
-        name="ratio3_inverse_commutative",
-        description="commutative form of the inverse-points ratio law",
-        scope="commutative",
-        draw=_draw_tuple(3, nonzero=True, distinct=True),
-        evaluate=_eval_ratio3_inverse_commutative,
-        enumerate_inputs=_enum_tuples(3, nonzero=True, distinct=True),
-    )
-)
 
 
 def _draw_bijectivity(field, rng):
@@ -516,6 +470,11 @@ def _draw_bijectivity(field, rng):
     return (b, x1, x2, r)
 
 
+@_check(
+    "ratio_map_bijectivity",
+    "X -> ratio2(X, B) is injective and onto (X = B*R solves it)",
+    draw=_draw_bijectivity,
+)
 def _eval_bijectivity(field, inputs):
     b, x1, x2, r = inputs
     fails = []
@@ -532,35 +491,24 @@ def _eval_bijectivity(field, inputs):
     return fails
 
 
-_register(
-    CheckDef(
-        name="ratio_map_bijectivity",
-        description="X -> ratio2(X, B) is injective and onto (X = B*R solves it)",
-        draw=_draw_bijectivity,
-        evaluate=_eval_bijectivity,
-    )
-)
-
-
 # ---------------------------------------------------------------- cross-ratio checks
 
 
+@_check(
+    "cr_inverse_swap",
+    "swapping the last two points inverts the cross-ratio",
+    **_tuples(4, distinct=True),
+)
 def _eval_cr_inverse_swap(field, xs):
     a, b, c, d = xs
     return _law("ABCD", xs, cross_ratio(a, b, d, c), cross_ratio(a, b, c, d).value.inv())
 
 
-_register(
-    CheckDef(
-        name="cr_inverse_swap",
-        description="swapping the last two points inverts the cross-ratio",
-        draw=_draw_tuple(4, distinct=True),
-        evaluate=_eval_cr_inverse_swap,
-        enumerate_inputs=_enum_tuples(4, distinct=True),
-    )
+@_check(
+    "cr_negation_invariance",
+    "negating all four points leaves the cross-ratio unchanged",
+    **_tuples(4, distinct=True),
 )
-
-
 def _eval_cr_negation_invariance(field, xs):
     # -1 is central, so both bracket factors of the defining product are
     # unchanged when every point is negated.
@@ -568,48 +516,30 @@ def _eval_cr_negation_invariance(field, xs):
     return _law("ABCD", xs, cross_ratio(-a, -b, -c, -d), cross_ratio(a, b, c, d))
 
 
-_register(
-    CheckDef(
-        name="cr_negation_invariance",
-        description="negating all four points leaves the cross-ratio unchanged",
-        draw=_draw_tuple(4, distinct=True),
-        evaluate=_eval_cr_negation_invariance,
-        enumerate_inputs=_enum_tuples(4, distinct=True),
-    )
+@_check(
+    "cr_alternative_formula",
+    "inverse-difference formula agrees with the defining product",
+    **_tuples(4, distinct=True),
 )
-
-
 def _eval_cr_alternative_formula(field, xs):
     return _law("ABCD", xs, cross_ratio(*xs), cross_ratio_alt(*xs))
 
 
-_register(
-    CheckDef(
-        name="cr_alternative_formula",
-        description="inverse-difference formula agrees with the defining product",
-        draw=_draw_tuple(4, distinct=True),
-        evaluate=_eval_cr_alternative_formula,
-        enumerate_inputs=_enum_tuples(4, distinct=True),
-    )
+@_check(
+    "cr_complement",
+    "one minus the cross-ratio swaps the middle points",
+    **_tuples(4, distinct=True),
 )
-
-
 def _eval_cr_complement(field, xs):
     a, b, c, d = xs
     return _law("ABCD", xs, field.one - cross_ratio(a, b, c, d).value, cross_ratio(a, c, b, d))
 
 
-_register(
-    CheckDef(
-        name="cr_complement",
-        description="one minus the cross-ratio swaps the middle points",
-        draw=_draw_tuple(4, distinct=True),
-        evaluate=_eval_cr_complement,
-        enumerate_inputs=_enum_tuples(4, distinct=True),
-    )
+@_check(
+    "cr_permutation_trio",
+    "the three rewiring identities for permuted last points",
+    **_tuples(4, distinct=True),
 )
-
-
 def _eval_cr_permutation_trio(field, xs):
     # Distinct 4-tuples give cross-ratio values outside {0, 1}, so every
     # inverse below exists; see the uniqueness argument in the ratio module.
@@ -621,23 +551,6 @@ def _eval_cr_permutation_trio(field, xs):
         *_law("ABCD", xs, cross_ratio(a, c, d, b), (one - x).inv(), law="swap-to-DB"),
         *_law("ABCD", xs, cross_ratio(a, d, c, b), (x - one).inv() * x, law="swap-to-CB"),
     ]
-
-
-_register(
-    CheckDef(
-        name="cr_permutation_trio",
-        description="the three rewiring identities for permuted last points",
-        draw=_draw_tuple(4, distinct=True),
-        evaluate=_eval_cr_permutation_trio,
-        enumerate_inputs=_enum_tuples(4, distinct=True),
-    )
-)
-
-
-def _eval_cr_inverse_points_conjugation(field, xs):
-    a, b, c, d = xs
-    lhs = cross_ratio(a.inv(), b.inv(), c.inv(), d.inv())
-    return _law("ABCD", xs, lhs, a * cross_ratio(a, b, c, d).value * a.inv())
 
 
 def _conjugation_details(field, xs):
@@ -652,15 +565,16 @@ def _conjugation_details(field, xs):
     }
 
 
-_register(
-    CheckDef(
-        name="cr_inverse_points_conjugation",
-        description="inverting all points conjugates the cross-ratio by A",
-        draw=_draw_tuple(4, nonzero=True, distinct=True),
-        evaluate=_eval_cr_inverse_points_conjugation,
-        details=_conjugation_details,
-    )
+@_check(
+    "cr_inverse_points_conjugation",
+    "inverting all points conjugates the cross-ratio by A",
+    draw=_tuples(4, nonzero=True, distinct=True)["draw"],
+    details=_conjugation_details,
 )
+def _eval_cr_inverse_points_conjugation(field, xs):
+    a, b, c, d = xs
+    lhs = cross_ratio(a.inv(), b.inv(), c.inv(), d.inv())
+    return _law("ABCD", xs, lhs, a * cross_ratio(a, b, c, d).value * a.inv())
 
 
 def _draw_central_first(field, rng):
@@ -677,53 +591,37 @@ def _draw_central_first(field, rng):
     return (a, *rest)
 
 
+@_check(
+    "cr_central_collapse",
+    "with central A the inverse-points conjugation disappears",
+    draw=_draw_central_first,
+    enumerate_inputs=_tuples(4, nonzero=True, distinct=True)["enumerate_inputs"],
+)
 def _eval_central_collapse(field, xs):
     a, b, c, d = xs
     return _law("ABCD", xs, cross_ratio(a.inv(), b.inv(), c.inv(), d.inv()), cross_ratio(*xs))
 
 
-_register(
-    CheckDef(
-        name="cr_central_collapse",
-        description="with central A the inverse-points conjugation disappears",
-        draw=_draw_central_first,
-        evaluate=_eval_central_collapse,
-        enumerate_inputs=_enum_tuples(4, nonzero=True, distinct=True),
-    )
+@_check(
+    "cr_noncommutativity_witness",
+    "search for a tuple whose two argument orders disagree",
+    scope="noncommutative",
+    kind="witness-search",
+    draw=_tuples(4, distinct=True)["draw"],
 )
-
-
+@_check(
+    "cr_commutative_symmetry",
+    "over a commutative field both argument orders agree",
+    scope="commutative",
+    **_tuples(4, distinct=True),
+)
 def _eval_cr_commutative_symmetry(field, xs):
     a, b, c, d = xs
     return _law("ABCD", xs, cross_ratio(a, b, c, d), cross_ratio(b, a, d, c))
 
 
-_register(
-    CheckDef(
-        name="cr_commutative_symmetry",
-        description="over a commutative field both argument orders agree",
-        scope="commutative",
-        draw=_draw_tuple(4, distinct=True),
-        evaluate=_eval_cr_commutative_symmetry,
-        enumerate_inputs=_enum_tuples(4, distinct=True),
-    )
-)
-
-
-_register(
-    CheckDef(
-        name="cr_noncommutativity_witness",
-        description="search for a tuple whose two argument orders disagree",
-        scope="noncommutative",
-        kind="witness-search",
-        draw=_draw_tuple(4, distinct=True),
-        evaluate=_eval_cr_commutative_symmetry,
-    )
-)
-
-
 def _draw_commuting_ratios(field, rng):
-    triple = _draw_tuple(3, distinct=True)(field, rng)
+    triple = _draw_distinct_triple(field, rng)
     if triple is None:
         return None
     a, b, c = triple
@@ -739,6 +637,11 @@ def _draw_commuting_ratios(field, rng):
     return (a, b, c, d)
 
 
+@_check(
+    "cr_commuting_ratios_symmetry",
+    "commuting ratio points force both argument orders to agree",
+    draw=_draw_commuting_ratios,
+)
 def _eval_commuting_ratios(field, xs):
     a, b, c, d = xs
     if not commutes(ratio3(b, a, d), ratio3(a, b, c)):
@@ -746,32 +649,21 @@ def _eval_commuting_ratios(field, xs):
     return _eval_cr_commutative_symmetry(field, xs)
 
 
-_register(
-    CheckDef(
-        name="cr_commuting_ratios_symmetry",
-        description="commuting ratio points force both argument orders to agree",
-        draw=_draw_commuting_ratios,
-        evaluate=_eval_commuting_ratios,
-    )
+@_check(
+    "cr_ratio_factorization",
+    "the cross-ratio factors as r(B,A;D) * r(A,B;C)",
+    **_tuples(4, distinct=True),
 )
-
-
 def _eval_cr_factorization(field, xs):
     a, b, c, d = xs
     return _law("ABCD", xs, cross_ratio(a, b, c, d), ratio3(b, a, d) * ratio3(a, b, c))
 
 
-_register(
-    CheckDef(
-        name="cr_ratio_factorization",
-        description="the cross-ratio factors as r(B,A;D) * r(A,B;C)",
-        draw=_draw_tuple(4, distinct=True),
-        evaluate=_eval_cr_factorization,
-        enumerate_inputs=_enum_tuples(4, distinct=True),
-    )
+@_check(
+    "cr_infinity_reductions",
+    "one infinite argument reduces to the documented quotient form",
+    **_tuples(4, distinct=True),
 )
-
-
 def _eval_cr_infinity_reductions(field, xs):
     a, b, c, d = xs
     inf = ExtendedPoint.infinity(field)
@@ -789,19 +681,8 @@ def _eval_cr_infinity_reductions(field, xs):
     ]
 
 
-_register(
-    CheckDef(
-        name="cr_infinity_reductions",
-        description="one infinite argument reduces to the documented quotient form",
-        draw=_draw_tuple(4, distinct=True),
-        evaluate=_eval_cr_infinity_reductions,
-        enumerate_inputs=_enum_tuples(4, distinct=True),
-    )
-)
-
-
 def _draw_solve_roundtrip(field, rng):
-    triple = _draw_tuple(3, distinct=True)(field, rng)
+    triple = _draw_distinct_triple(field, rng)
     if triple is None:
         return None
     r = field.random_element(rng)
@@ -814,6 +695,11 @@ def _draw_solve_roundtrip(field, rng):
     return (r, *triple)
 
 
+@_check(
+    "solve_fourth_point_roundtrip",
+    "solving for D reproduces the requested cross-ratio, uniquely",
+    draw=_draw_solve_roundtrip,
+)
 def _eval_solve_roundtrip(field, inputs):
     r, a, b, c = inputs
     tags = [f"R={r}"] + _labeled("ABC", (a, b, c))
@@ -825,16 +711,6 @@ def _eval_solve_roundtrip(field, inputs):
     if solve_fourth_point(r, a, b, c) != d:
         fails.append(_witness(tags, "re-solve differs", d))
     return fails
-
-
-_register(
-    CheckDef(
-        name="solve_fourth_point_roundtrip",
-        description="solving for D reproduces the requested cross-ratio, uniquely",
-        draw=_draw_solve_roundtrip,
-        evaluate=_eval_solve_roundtrip,
-    )
-)
 
 
 # ---------------------------------------------------------------- plane checks
@@ -850,6 +726,11 @@ def _draw_incidence(field, rng):
     return (p, q, r, s)
 
 
+@_check(
+    "plane_incidence_axioms",
+    "unique joins, Playfair parallels, and a non-collinear triple",
+    draw=_draw_incidence,
+)
 def _eval_incidence(field, inputs):
     p, q, r, s = inputs
     tags = [f"P={p}", f"Q={q}", f"R={r}", f"S={s}"]
@@ -880,16 +761,6 @@ def _eval_incidence(field, inputs):
     return fails
 
 
-_register(
-    CheckDef(
-        name="plane_incidence_axioms",
-        description="unique joins, Playfair parallels, and a non-collinear triple",
-        draw=_draw_incidence,
-        evaluate=_eval_incidence,
-    )
-)
-
-
 def _draw_chart(field, rng):
     o = random_point(field, rng)
     i = random_point(field, rng)
@@ -899,6 +770,11 @@ def _draw_chart(field, rng):
     return (o, i, t)
 
 
+@_check(
+    "coordinate_chart_roundtrip",
+    "point_at and coordinatize are mutually inverse on the axis",
+    draw=_draw_chart,
+)
 def _eval_chart(field, inputs):
     o, i, t = inputs
     p = point_at(o, i, t)
@@ -908,16 +784,6 @@ def _eval_chart(field, inputs):
         *_law("OIt", inputs, coordinatize(o, i, o), field.zero),
         *_law("OIt", inputs, coordinatize(o, i, i), field.one),
     ]
-
-
-_register(
-    CheckDef(
-        name="coordinate_chart_roundtrip",
-        description="point_at and coordinatize are mutually inverse on the axis",
-        draw=_draw_chart,
-        evaluate=_eval_chart,
-    )
-)
 
 
 def _draw_geometric(field, rng):
@@ -937,36 +803,26 @@ def _draw_geometric(field, rng):
 _GEOMETRIC_NAMES = ("O", "I", "a", "b", "aux")
 
 
+@_check(
+    "geometric_add_agreement",
+    "the addition construction realizes coordinate addition",
+    draw=_draw_geometric,
+)
 def _eval_geometric_add(field, inputs):
     o, i, a, b, aux = inputs
     result = geometric_add(o, i, point_at(o, i, a), point_at(o, i, b), aux)
     return _law(_GEOMETRIC_NAMES, inputs, coordinatize(o, i, result), a + b)
 
 
-_register(
-    CheckDef(
-        name="geometric_add_agreement",
-        description="the addition construction realizes coordinate addition",
-        draw=_draw_geometric,
-        evaluate=_eval_geometric_add,
-    )
+@_check(
+    "geometric_mul_agreement",
+    "the multiplication construction realizes the left-to-right product",
+    draw=_draw_geometric,
 )
-
-
 def _eval_geometric_mul(field, inputs):
     o, i, a, b, aux = inputs
     result = geometric_mul(o, i, point_at(o, i, a), point_at(o, i, b), aux)
     return _law(_GEOMETRIC_NAMES, inputs, coordinatize(o, i, result), a * b)
-
-
-_register(
-    CheckDef(
-        name="geometric_mul_agreement",
-        description="the multiplication construction realizes the left-to-right product",
-        draw=_draw_geometric,
-        evaluate=_eval_geometric_mul,
-    )
-)
 
 
 def _draw_aux_family(field, rng):
@@ -990,6 +846,11 @@ def _draw_aux_family(field, rng):
     return (o, i, a, b, tuple(auxes))
 
 
+@_check(
+    "aux_point_independence",
+    "construction results do not depend on the auxiliary point",
+    draw=_draw_aux_family,
+)
 def _eval_aux_independence(field, inputs):
     o, i, a, b, auxes = inputs
     pa, pb = point_at(o, i, a), point_at(o, i, b)
@@ -1004,20 +865,15 @@ def _eval_aux_independence(field, inputs):
     return fails
 
 
-_register(
-    CheckDef(
-        name="aux_point_independence",
-        description="construction results do not depend on the auxiliary point",
-        draw=_draw_aux_family,
-        evaluate=_eval_aux_independence,
-    )
-)
-
-
 def _draw_desargues(field, rng):
     return (rng.getrandbits(32),)
 
 
+@_check(
+    "desargues_axiom_holds",
+    "generated perspective triangles always satisfy the conclusion",
+    draw=_draw_desargues,
+)
 def _eval_desargues(field, inputs):
     (sub_seed,) = inputs
     fails = []
@@ -1031,16 +887,6 @@ def _eval_desargues(field, inputs):
         if not check_desargues(cfg):
             fails.append(_witness(tags + [cfg.canonical()], "sides not parallel", "parallel"))
     return fails
-
-
-_register(
-    CheckDef(
-        name="desargues_axiom_holds",
-        description="generated perspective triangles always satisfy the conclusion",
-        draw=_draw_desargues,
-        evaluate=_eval_desargues,
-    )
-)
 
 
 def resolve_conjugation_form(seed: int, samples: int, field: Field | None = None) -> dict:

@@ -19,12 +19,8 @@ from crossratio.ratio import (
     InvalidRatioPointError,
     cross_ratio,
     cross_ratio_alt,
-    invert_all,
-    negate_all,
     ratio2,
-    ratio2_swapped,
     ratio3,
-    ratio3_swapped,
     solve_fourth_point,
 )
 from test_fields import I_Q, J_Q, K_Q, q_inv, q_mul, q_parts
@@ -50,6 +46,15 @@ def test_extended_point_semantics(field):
     assert inf.inv() == ExtendedPoint.finite(field.zero)
     assert ExtendedPoint.finite(field.zero).inv() == inf
     assert fin.inv() == field.element(3).inv()
+
+
+def test_finite_point_hashes_like_its_element(field):
+    # equal objects must hash equally, or a set holds a point and its element twice
+    for x in (field.zero, field.one, field.element(3)):
+        assert hash(ExtendedPoint.finite(x)) == hash(x)
+        assert len({x, ExtendedPoint.finite(x)}) == 1
+    inf = ExtendedPoint.infinity(field)
+    assert len({inf, ExtendedPoint.infinity(field), field.zero}) == 2
 
 
 # ---------------------------------------------------------------- ratio2 / ratio3
@@ -78,7 +83,6 @@ def test_ratio3_examples():
 def test_ratio2_is_left_division(fx):
     fld, (a, b) = fx
     assert ratio2(a, b) == b.inv() * a
-    assert ratio2_swapped(a, b) == ratio2(b, a)
     assert ratio2(a, b).inv() == ratio2(b, a) if not a.is_zero else True
 
 
@@ -86,7 +90,6 @@ def test_ratio2_is_left_division(fx):
 def test_ratio3_is_left_divided_difference(fx):
     fld, (a, b, c) = fx
     assert ratio3(a, b, c) == (b - c).inv() * (a - c)
-    assert ratio3_swapped(a, b, c) == ratio3(b, a, c)
     assert ratio3(a, b, c).inv() == ratio3(b, a, c)
 
 
@@ -250,22 +253,20 @@ def test_solve_round_trips_through_cross_ratio(fx):
 
 def test_negate_all_examples():
     pts = tuple(RATIONAL.element(n) for n in (2, 3, 1, 0))
-    assert negate_all(*pts) == tuple(RATIONAL.element(n) for n in (-2, -3, -1, 0))
+    assert tuple(-x for x in pts) == tuple(RATIONAL.element(n) for n in (-2, -3, -1, 0))
     zeros = (RATIONAL.zero,) * 4
-    assert negate_all(*zeros) == zeros
-    inf = ExtendedPoint.infinity(RATIONAL)
-    got = negate_all(inf, *pts[:3])
-    assert got[0].is_infinity
+    assert tuple(-x for x in zeros) == zeros
+    assert (-ExtendedPoint.infinity(RATIONAL)).is_infinity
 
 
 def test_invert_all_examples():
     pts = tuple(GF7.element(n) for n in (2, 3, 4, 5))
     expected = tuple(GF7.element(pow(n, 5, 7)) for n in (2, 3, 4, 5))
-    assert invert_all(*pts) == expected
+    assert tuple(x.inv() for x in pts) == expected
     assert [x.value for x in expected] == [4, 5, 2, 3]
 
     i, j, k = (QUATERNION.element(u) for u in (I_Q, J_Q, K_Q))
-    assert invert_all(i, j, k, i) == (-i, -j, -k, -i)
+    assert tuple(x.inv() for x in (i, j, k, i)) == (-i, -j, -k, -i)
 
     ones = (RATIONAL.one,) * 4
-    assert invert_all(*ones) == ones
+    assert tuple(x.inv() for x in ones) == ones

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from conftest import GF5, GF101, QUATERNION, RATIONAL
+from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL
 from crossratio import ratio, verify
 from crossratio.verify import (
     CHECKS,
@@ -101,10 +102,34 @@ def test_exhaustive_strategy_needs_enumerable_field():
         run_check(CheckSpec("cr_inverse_swap", "gf:101", 10, 0), strategy="exhaustive")
 
 
-@pytest.mark.parametrize("name", ["cr_inverse_points_conjugation", "cr_noncommutativity_witness"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cr_inverse_points_conjugation",
+        "cr_noncommutativity_witness",
+        "norm_multiplicativity",  # an enumeration over GF(p) would call field.norm
+    ],
+)
 def test_exhaustive_strategy_needs_an_enumerator(name):
     with pytest.raises(ValueError):
         run_check(CheckSpec(name, "gf:5", 10, 0), strategy="exhaustive")
+
+
+ENUMERABLE = [name for name, check in CHECKS.items() if check.enumerate_inputs is not None]
+
+
+@pytest.mark.parametrize("field", [GF5, GF7], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", ENUMERABLE)
+def test_draw_and_enumerator_cover_the_same_domain(name, field):
+    # auto switches between the two by field size, so they must agree on the domain
+    check = CHECKS[name]
+    tuples = list(check.enumerate_inputs(field))
+    assert len(set(tuples)) == len(tuples)  # no repeats
+    rng = random.Random(f"domain:{name}")
+    drawn = [check.draw(field, rng) for _ in range(2000)]
+    accepted = [inputs for inputs in drawn if inputs is not None]
+    assert accepted
+    assert set(accepted) <= set(tuples)
 
 
 @pytest.mark.parametrize(
