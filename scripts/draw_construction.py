@@ -12,7 +12,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from crossratio.fields import RationalField
-from crossratio.plane import construct_product, construct_sum, point
+from crossratio.plane import construct_product, construct_sum, coordinatize, point
 from crossratio.svg import render_construction
 
 
@@ -35,7 +35,8 @@ def main() -> int:
         built = builder(o, i, a, b, aux)
         target = out_dir / f"{label}.svg"
         target.write_text(render_construction(built))
-        print(f"{label}: C = {built.result} (coordinate {built.value}) -> {target}")
+        value = coordinatize(o, i, built.result)
+        print(f"{label}: C = {built.result} (coordinate {value}) -> {target}")
     return 0
 
 

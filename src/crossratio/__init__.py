@@ -40,8 +40,6 @@ from .plane import (
     coordinatize,
     default_aux,
     generate_desargues_config,
-    geometric_add,
-    geometric_mul,
     intersect,
     line_through,
     parallel,

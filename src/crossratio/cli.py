@@ -1,6 +1,9 @@
 """Command-line surface for the cross-ratio calculus and plane constructions.
 
-Subcommands: eval, solve, verify, construct, desargues.  Exit codes are
+Subcommands: eval, solve, verify, construct, desargues.  Every subcommand
+takes --field, --format and --out; verify also takes --seed and --samples,
+desargues --seed.  Results are exact at any size: the CLI lifts Python's
+limit on the digits of an int printed in decimal.  Exit codes are
 stable: 0 success, 2 unparseable input or bad configuration, 3 violated
 precondition, 4 a fourth point that exists only at infinity, 5 I/O failure.
 A verification or Desargues run that completes but finds failures exits 1.
@@ -37,6 +40,7 @@ from .plane import (
     check_desargues,
     construct_product,
     construct_sum,
+    coordinatize,
     default_aux,
     generate_desargues_config,
 )
@@ -147,6 +151,7 @@ def _cmd_construct(args) -> int:
     aux = _parse_point(field, args.aux) if args.aux else default_aux(o, i)
     build = construct_sum if args.op == "add" else construct_product
     trace = build(o, i, a, b, aux)
+    value = coordinatize(o, i, trace.result)
     if args.svg is not None:
         if not isinstance(field, RationalField):
             raise DegenerateConfigurationError(
@@ -161,7 +166,7 @@ def _cmd_construct(args) -> int:
             "points": {name: str(p) for name, p in trace.points.items()},
             "lines": [[label, str(line)] for label, line in trace.lines],
             "result": str(trace.result),
-            "value": str(trace.value),
+            "value": str(value),
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -169,7 +174,7 @@ def _cmd_construct(args) -> int:
         for label, line in trace.lines:
             lines.append(f"line [{label}]: {line}")
         lines.append(f"P1 = {trace.points['P1']}")
-        lines.append(f"C has coordinate {trace.value}")
+        lines.append(f"C has coordinate {value}")
         lines.append(str(trace.result))
         _emit("\n".join(lines), args.out)
     return 0
@@ -228,8 +233,6 @@ def _cmd_desargues(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="rational", help="rational | gf:P | quaternion")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=1000)
     common.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     common.add_argument("--out", default=None, help="write output to this path")
 
@@ -250,6 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the identity suites")
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_construct = sub.add_parser(
@@ -267,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_des = sub.add_parser(
         "desargues", parents=[common], help="generate and check perspective triangles"
     )
+    p_des.add_argument("--seed", type=int, default=0)
     p_des.add_argument("--count", type=int, default=200)
     p_des.add_argument("--mode", choices=("parallel", "concurrent"), default="parallel")
     p_des.add_argument(
@@ -281,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact results may run past the default 4300 digits
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

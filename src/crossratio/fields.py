@@ -127,8 +127,8 @@ class Field:
         return [self.one]
 
     def is_central(self, x: Element) -> bool:
-        """Whether x commutes with every element of the field."""
-        raise NotImplementedError
+        """Whether x commutes with every element; noncommutative fields override this."""
+        return self.commutative
 
     def __str__(self):
         return self.name
@@ -177,9 +177,6 @@ class RationalField(Field):
 
     def _parse(self, text):
         return _parse_rational(text)
-
-    def is_central(self, x):
-        return True
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -268,9 +265,6 @@ class GaloisField(Field):
     def elements(self) -> list[Element]:
         return [Element(self, r) for r in range(self.p)]
 
-    def is_central(self, x):
-        return True
-
     def __eq__(self, other):
         return isinstance(other, GaloisField) and other.p == self.p
 
@@ -331,10 +325,6 @@ class QuaternionField(Field):
     def norm(self, x: Element) -> Fraction:
         """Quaternion norm a^2+b^2+c^2+d^2 as an exact Fraction."""
         return self._norm(x.value)
-
-    def conjugate(self, x: Element) -> Element:
-        a, b, c, d = x.value
-        return Element(self, (a, -b, -c, -d))
 
     def _random(self, rng):
         rat = RationalField()._random

@@ -15,7 +15,7 @@ with two pairs of parallel sides).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import DivisionByZeroError, Element, Field, FieldMismatchError
 
@@ -189,15 +189,14 @@ def coordinatize(o: PlanePoint, i: PlanePoint, p: PlanePoint) -> Element:
     return (p.x - o.x) * (i.x - o.x).inv()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Construction:
     """A ruler construction trace: labeled points, labeled lines, result."""
 
     kind: str
     points: dict[str, PlanePoint]
-    lines: list[tuple[str, PlaneLine]] = dc_field(default_factory=list)
-    result: PlanePoint | None = None
-    value: Element | None = None
+    lines: list[tuple[str, PlaneLine]]
+    result: PlanePoint
 
 
 def _axis_setup(o, i, a, b, aux) -> PlaneLine:
@@ -218,6 +217,34 @@ def _meet(l1: PlaneLine, l2: PlaneLine, stage: str) -> PlanePoint:
     return got
 
 
+def _ruler(kind, result_name, o, i, a, b, aux, axis, guide, target) -> Construction:
+    """The steps both constructions share once their guide and target lines are drawn.
+
+    P1 is where the parallel to the guide line through A meets the target
+    line; the result C is where the parallel to line B-aux through P1 meets
+    the axis.  guide and target are (label, line) pairs.
+    """
+    guide_label, guide_line = guide
+    through_a = parallel_through(guide_line, a)
+    p1 = _meet(through_a, target[1], "locating P1")
+    transfer = line_through(b, aux)
+    through_p1 = parallel_through(transfer, p1)
+    c = _meet(through_p1, axis, f"locating the {result_name}")
+    return Construction(
+        kind=kind,
+        points={"O": o, "I": i, "A": a, "B": b, "B1": aux, "P1": p1, "C": c},
+        lines=[
+            ("axis", axis),
+            guide,
+            target,
+            (f"{guide_label} parallel through A", through_a),
+            ("B-B1", transfer),
+            ("B-B1 parallel through P1", through_p1),
+        ],
+        result=c,
+    )
+
+
 def construct_sum(o, i, a, b, aux) -> Construction:
     """Ruler construction of the axis point with coordinate coord(a)+coord(b).
 
@@ -226,27 +253,9 @@ def construct_sum(o, i, a, b, aux) -> Construction:
     the parallel to line B-aux through P1 meets the axis again.
     """
     axis = _axis_setup(o, i, a, b, aux)
-    base = line_through(o, aux)
-    through_aux = parallel_through(axis, aux)
-    through_a = parallel_through(base, a)
-    p1 = _meet(through_aux, through_a, "locating P1")
-    transfer = line_through(b, aux)
-    through_p1 = parallel_through(transfer, p1)
-    c = _meet(through_p1, axis, "locating the sum")
-    return Construction(
-        kind="add",
-        points={"O": o, "I": i, "A": a, "B": b, "B1": aux, "P1": p1, "C": c},
-        lines=[
-            ("axis", axis),
-            ("O-B1", base),
-            ("axis parallel through B1", through_aux),
-            ("O-B1 parallel through A", through_a),
-            ("B-B1", transfer),
-            ("B-B1 parallel through P1", through_p1),
-        ],
-        result=c,
-        value=coordinatize(o, i, c),
-    )
+    guide = ("O-B1", line_through(o, aux))
+    target = ("axis parallel through B1", parallel_through(axis, aux))
+    return _ruler("add", "sum", o, i, a, b, aux, axis, guide, target)
 
 
 def construct_product(o, i, a, b, aux) -> Construction:
@@ -257,37 +266,9 @@ def construct_product(o, i, a, b, aux) -> Construction:
     through P1 meets the axis.
     """
     axis = _axis_setup(o, i, a, b, aux)
-    unit = line_through(i, aux)
-    ray = line_through(o, aux)
-    through_a = parallel_through(unit, a)
-    p1 = _meet(through_a, ray, "locating P1")
-    transfer = line_through(b, aux)
-    through_p1 = parallel_through(transfer, p1)
-    c = _meet(through_p1, axis, "locating the product")
-    return Construction(
-        kind="mul",
-        points={"O": o, "I": i, "A": a, "B": b, "B1": aux, "P1": p1, "C": c},
-        lines=[
-            ("axis", axis),
-            ("I-B1", unit),
-            ("O-B1", ray),
-            ("I-B1 parallel through A", through_a),
-            ("B-B1", transfer),
-            ("B-B1 parallel through P1", through_p1),
-        ],
-        result=c,
-        value=coordinatize(o, i, c),
-    )
-
-
-def geometric_add(o, i, a, b, aux) -> PlanePoint:
-    """The axis point representing the sum of a and b (see construct_sum)."""
-    return construct_sum(o, i, a, b, aux).result
-
-
-def geometric_mul(o, i, a, b, aux) -> PlanePoint:
-    """The axis point representing the product of a and b, left factor first."""
-    return construct_product(o, i, a, b, aux).result
+    guide = ("I-B1", line_through(i, aux))
+    target = ("O-B1", line_through(o, aux))
+    return _ruler("mul", "product", o, i, a, b, aux, axis, guide, target)
 
 
 def default_aux(o: PlanePoint, i: PlanePoint) -> PlanePoint:

@@ -36,10 +36,10 @@ from .fields import (
 from .plane import (
     GenerationFailureError,
     check_desargues,
+    construct_product,
+    construct_sum,
     coordinatize,
     generate_desargues_config,
-    geometric_add,
-    geometric_mul,
     intersect,
     line_through,
     parallel,
@@ -810,7 +810,7 @@ _GEOMETRIC_NAMES = ("O", "I", "a", "b", "aux")
 )
 def _eval_geometric_add(field, inputs):
     o, i, a, b, aux = inputs
-    result = geometric_add(o, i, point_at(o, i, a), point_at(o, i, b), aux)
+    result = construct_sum(o, i, point_at(o, i, a), point_at(o, i, b), aux).result
     return _law(_GEOMETRIC_NAMES, inputs, coordinatize(o, i, result), a + b)
 
 
@@ -821,7 +821,7 @@ def _eval_geometric_add(field, inputs):
 )
 def _eval_geometric_mul(field, inputs):
     o, i, a, b, aux = inputs
-    result = geometric_mul(o, i, point_at(o, i, a), point_at(o, i, b), aux)
+    result = construct_product(o, i, point_at(o, i, a), point_at(o, i, b), aux).result
     return _law(_GEOMETRIC_NAMES, inputs, coordinatize(o, i, result), a * b)
 
 
@@ -856,10 +856,10 @@ def _eval_aux_independence(field, inputs):
     pa, pb = point_at(o, i, a), point_at(o, i, b)
     tags = [f"O={o}", f"I={i}", f"a={a}", f"b={b}"]
     fails = []
-    sums = {geometric_add(o, i, pa, pb, aux) for aux in auxes}
+    sums = {construct_sum(o, i, pa, pb, aux).result for aux in auxes}
     if len(sums) != 1:
         fails.append(_witness(tags, f"{len(sums)} distinct sums", "1"))
-    products = {geometric_mul(o, i, pa, pb, aux) for aux in auxes}
+    products = {construct_product(o, i, pa, pb, aux).result for aux in auxes}
     if len(products) != 1:
         fails.append(_witness(tags, f"{len(products)} distinct products", "1"))
     return fails

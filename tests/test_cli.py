@@ -4,11 +4,14 @@ Exit code contract: 0 ok, 1 failed verification, 2 parse/config,
 3 precondition, 4 infinite solution set, 5 I/O.
 """
 
+import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +98,26 @@ def test_unusable_large_modulus_is_a_config_error(modulus):
     done = run_process("eval", "--field", f"gf:{modulus}", "1", "2", "3", "4")
     assert done.returncode == 2
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
+)
+def test_eval_result_longer_than_the_int_str_digit_limit(capsys):
+    # ~2100-digit operands parse fine; the exact result has over 4300 digits,
+    # Python's default limit for converting an int to a decimal string.
+    rng = random.Random(4300)
+    a, b, c = (Fraction(rng.getrandbits(7000) | 1, rng.getrandbits(6900) | 1) for _ in range(3))
+    literals = [f"{x.numerator}/{x.denominator}" for x in (a, b, c)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        code, out, err = run_cli(capsys, "eval", "--field", "rational", "--", *literals, "0")
+        sys.set_int_max_str_digits(0)
+        expected = (c - a) / (c - b) * (b / a)  # cr(A,B;C,0) over a commutative field
+        assert len(str(expected.numerator)) > 4300
+        assert (code, err) == (0, "") and out == f"{expected}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_gf_eval(capsys):
@@ -252,6 +275,85 @@ def test_construct_svg(tmp_path, capsys):
         assert f">{label}<" in body
 
 
+# The exact `construct` outputs: the trace's labels, line order, points and
+# coordinate.  A refactor of the ruler constructions must leave these bytes.
+
+SLANTED = (
+    "--field", "rational",
+    "--O", "1,1", "--I", "3,2", "--A", "9,5", "--B=-3,-1", "--aux", "0,1",
+)
+QUATERNION_UNITS = ("--field", "quaternion", "--O", "0,0", "--I", "1,0", "--A", "i,0", "--B", "j,0")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        (
+            "add",
+            "line [axis]: y = x*(1/2) + (1/2)\n"
+            "line [O-B1]: y = x*(0) + (1)\n"
+            "line [axis parallel through B1]: y = x*(1/2) + (1)\n"
+            "line [O-B1 parallel through A]: y = x*(0) + (5)\n"
+            "line [B-B1]: y = x*(2/3) + (1)\n"
+            "line [B-B1 parallel through P1]: y = x*(2/3) + (-1/3)\n"
+            "P1 = 8,5\n"
+            "C has coordinate 2\n"
+            "5,3\n",
+        ),
+        (
+            "mul",
+            "line [axis]: y = x*(1/2) + (1/2)\n"
+            "line [I-B1]: y = x*(1/3) + (1)\n"
+            "line [O-B1]: y = x*(0) + (1)\n"
+            "line [I-B1 parallel through A]: y = x*(1/3) + (2)\n"
+            "line [B-B1]: y = x*(2/3) + (1)\n"
+            "line [B-B1 parallel through P1]: y = x*(2/3) + (3)\n"
+            "P1 = -3,1\n"
+            "C has coordinate -8\n"
+            "-15,-7\n",
+        ),
+    ],
+)
+def test_construct_text_is_pinned(capsys, op, expected):
+    code, out, _ = run_cli(capsys, "construct", op, *SLANTED)
+    assert code == 0 and out == expected
+
+
+@pytest.mark.parametrize(
+    "op, args, digest",
+    [
+        ("add", SLANTED, "c0a7eba3c778a4cfa1d3d8aa316148d43af4f19775e20cf9db915b5b5b23b964"),
+        ("mul", SLANTED, "0b4c744a6a27fb4d8393de330303652b927e3ee8161625144a4469c06e6ca47d"),
+        ("add", QUATERNION_UNITS, "26d260e25c36cf161904b3143cbf717b7c9443007c4928b602adfcb60d4ec68d"),
+        ("mul", QUATERNION_UNITS, "05b325979aa785c1a0486a7cb849e9a04ab4868a89bfd63b05c2aec6fb741ed9"),
+    ],
+)
+def test_construct_json_is_pinned(capsys, op, args, digest):
+    code, out, _ = run_cli(capsys, "construct", op, *args, "--format", "json")
+    assert code == 0 and sha256(out) == digest
+
+
+@pytest.mark.parametrize(
+    "op, digest",
+    [
+        ("add", "88abda1eccd3bc9ebe9d2799a583805a17417722013af2c40f05674805cbc911"),
+        ("mul", "51ffc4ef0b7c825b331299c7b7bfccd81a18435d85a683affcc71295b5b57818"),
+    ],
+)
+def test_construct_svg_is_pinned(tmp_path, capsys, op, digest):
+    target = tmp_path / "figure.svg"
+    code, _, _ = run_cli(
+        capsys,
+        "construct", op, "--O", "0,0", "--I", "1,0", "--A", "2,0", "--B", "3,0", "--aux", "0,1",
+        "--svg", str(target),
+    )
+    assert code == 0 and sha256(target.read_text()) == digest
+
+
 def test_construct_svg_needs_rational_plane(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,
@@ -326,6 +428,22 @@ def test_desargues_count_must_be_positive(capsys, count):
 def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--seed", "1", "2", "3", "1", "0"),
+        ("eval", "--samples", "5", "2", "3", "1", "0"),
+        ("solve", "--seed", "1", "3/4", "2", "3", "1"),
+        ("construct", "add", "--samples", "5", "--O", "0,0", "--I", "1,0", "--A", "2,0", "--B", "3,0"),
+        ("desargues", "--samples", "5", "--count", "1"),
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
     assert exc.value.code == 2
 
 

@@ -1,0 +1,50 @@
+"""The scripts under scripts/: each runs end to end on tiny arguments."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *argv, cwd):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=cwd,
+    )
+
+
+def test_draw_construction(tmp_path):
+    done = run_script("draw_construction.py", "--a", "1/2", "--b", "3", "--out-dir", "figs", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "sum: C = 7/2,0 (coordinate 7/2) -> figs/sum.svg",
+        "product: C = 3/2,0 (coordinate 3/2) -> figs/product.svg",
+    ]
+    for name in ("sum", "product"):
+        body = (tmp_path / "figs" / f"{name}.svg").read_text()
+        assert body.startswith("<svg") and ">P1<" in body
+
+
+def test_resolve_conjugation_form(tmp_path):
+    done = run_script("resolve_conjugation_form.py", "--samples", "20", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "surviving form: form_abcd" in done.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_full_verification(tmp_path):
+    done = run_script(
+        "run_full_verification.py", "--fields", "rational", "gf:5", "quaternion",
+        "--samples", "2", "--out-dir", "reports", cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    written = sorted(p.name for p in (tmp_path / "reports").iterdir())
+    assert written == ["gf_5.json", "quaternion.json", "rational.json"]
+    for name in written:
+        report = json.loads((tmp_path / "reports" / name).read_text())
+        assert report["passed"] is True and report["samples"] == 2
