@@ -12,12 +12,13 @@ The module also owns the element literal grammar shared with the CLI:
     quaternion := term (('+'|'-') term)*
     term       := rational unit? | unit ;  unit := 'i' | 'j' | 'k'
 
-Whitespace is ignored.  ``str(field.parse(s))`` is the canonical spelling
-of ``s``.
+Digits are ASCII 0-9 only.  Whitespace is ignored.  ``str(field.parse(s))``
+is the canonical spelling of ``s``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -258,7 +259,7 @@ class GaloisField(Field):
         return str(a)
 
     def _parse(self, text):
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise ValueError(f"invalid GF({self.p}) literal: {text!r}")
         return int(text) % self.p
 
@@ -275,9 +276,12 @@ class GaloisField(Field):
 class QuaternionField(Field):
     """Rational quaternions a + bi + cj + dk: a noncommutative division ring.
 
-    Payload is a 4-tuple of Fractions.  The norm a^2+b^2+c^2+d^2 vanishes
-    only at zero (sums of rational squares), which is what makes every
-    nonzero element invertible.
+    Payload is a 5-tuple of ints (a, b, c, d, n) standing for
+    (a + bi + cj + dk) / n, with n > 0 and gcd(a, b, c, d, n) == 1.  That
+    form is unique, so equal quaternions have equal payloads, and each
+    operation costs one gcd instead of one per Fraction coefficient.  The
+    norm (a^2+b^2+c^2+d^2)/n^2 vanishes only at zero (sums of squares),
+    which is what makes every nonzero element invertible.
     """
 
     name = "quaternion"
@@ -285,70 +289,86 @@ class QuaternionField(Field):
 
     def _coerce(self, raw):
         if isinstance(raw, (int, Fraction)):
-            return (Fraction(raw), Fraction(0), Fraction(0), Fraction(0))
+            raw = Fraction(raw)
+            return (raw.numerator, 0, 0, 0, raw.denominator)
         if isinstance(raw, tuple) and len(raw) == 4:
-            return tuple(Fraction(part) for part in raw)
+            parts = [Fraction(part) for part in raw]
+            n = math.lcm(*(part.denominator for part in parts))
+            # Already reduced: for each prime p of n, the part whose denominator
+            # holds p's full power has n // den and its numerator both prime to p.
+            return (*(part.numerator * (n // part.denominator) for part in parts), n)
         raise TypeError(f"cannot make a quaternion from {type(raw).__name__}")
 
     def _is_zero(self, q):
-        return all(part == 0 for part in q)
+        return not (q[0] or q[1] or q[2] or q[3])
 
     def _add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        a1, b1, c1, d1, n1 = x
+        a2, b2, c2, d2, n2 = y
+        return _reduced(
+            a1 * n2 + a2 * n1, b1 * n2 + b2 * n1, c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2
+        )
 
     def _sub(self, x, y):
-        return tuple(a - b for a, b in zip(x, y))
+        return self._add(x, self._neg(y))
 
     def _neg(self, x):
-        return tuple(-a for a in x)
+        a, b, c, d, n = x
+        return (-a, -b, -c, -d, n)
 
     def _mul(self, x, y):
-        a1, b1, c1, d1 = x
-        a2, b2, c2, d2 = y
-        return (
+        a1, b1, c1, d1, n1 = x
+        a2, b2, c2, d2, n2 = y
+        return _reduced(
             a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
             a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
             a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            n1 * n2,
         )
 
     def _inv(self, q):
-        n = self._norm(q)
-        a, b, c, d = q
-        return (a / n, -b / n, -c / n, -d / n)
+        # ((a - bi - cj - dk) / n) / ((a^2+b^2+c^2+d^2) / n^2)
+        a, b, c, d, n = q
+        return _reduced(a * n, -b * n, -c * n, -d * n, a * a + b * b + c * c + d * d)
 
     @staticmethod
     def _norm(q):
-        a, b, c, d = q
-        return a * a + b * b + c * c + d * d
+        a, b, c, d, n = q
+        return Fraction(a * a + b * b + c * c + d * d, n * n)
 
     def norm(self, x: Element) -> Fraction:
-        """Quaternion norm a^2+b^2+c^2+d^2 as an exact Fraction."""
+        """Quaternion norm, the sum of the squared coefficients, as an exact Fraction."""
         return self._norm(x.value)
 
     def _random(self, rng):
-        rat = RationalField()._random
-        return tuple(rat(rng) for _ in range(4))
+        # Four RationalField draws, numerator then denominator each, put
+        # over the common denominator n0*n1*n2*n3.
+        bound = RANDOM_COEFF_BOUND
+        (a, n0), (b, n1), (c, n2), (d, n3) = [
+            (rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(4)
+        ]
+        return _reduced(
+            a * n1 * n2 * n3, b * n0 * n2 * n3, c * n0 * n1 * n3, d * n0 * n1 * n2, n0 * n1 * n2 * n3
+        )
 
     def basis(self):
-        units = [self.one]
-        for pos in (1, 2, 3):
-            parts = [Fraction(0)] * 4
-            parts[pos] = Fraction(1)
-            units.append(Element(self, tuple(parts)))
-        return units
+        units = ((0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
+        return [self.one] + [Element(self, unit) for unit in units]
 
     def is_central(self, x):
         # Scalars are exactly the quaternions commuting with i, j and k.
-        _, b, c, d = x.value
+        _, b, c, d, _ = x.value
         return b == 0 and c == 0 and d == 0
 
     def _format(self, q):
+        n = q[4]
         names = ("", "i", "j", "k")
         terms = []
-        for coeff, unit in zip(q, names):
-            if coeff == 0:
+        for part, unit in zip(q, names):
+            if part == 0:
                 continue
+            coeff = Fraction(part, n)
             if unit and abs(coeff) == 1:
                 body = unit if coeff > 0 else "-" + unit
             else:
@@ -360,7 +380,7 @@ class QuaternionField(Field):
         return "".join(terms) or "0"
 
     def _parse(self, text):
-        return _parse_quaternion(text)
+        return self._coerce(_parse_quaternion(text))
 
     def __eq__(self, other):
         return isinstance(other, QuaternionField)
@@ -369,8 +389,17 @@ class QuaternionField(Field):
         return hash(self.name)
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
-_QUAT_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)([ijk])?|([ijk]))")
+def _reduced(a: int, b: int, c: int, d: int, n: int) -> tuple:
+    """The payload (a, b, c, d, n) in lowest terms; n must be positive."""
+    g = math.gcd(a, b, c, d, n)
+    if g == 1:
+        return (a, b, c, d, n)
+    return (a // g, b // g, c // g, d // g, n // g)
+
+
+# re.ASCII: \d is [0-9] only, so no other script's digits get through to int().
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$", re.ASCII)
+_QUAT_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)([ijk])?|([ijk]))", re.ASCII)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -414,7 +443,7 @@ def field_by_name(name: str) -> Field:
         return QuaternionField()
     if name.startswith("gf:"):
         body = name[3:]
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise ValueError(f"invalid GF modulus: {body!r}")
         return GaloisField(int(body))
     raise ValueError(f"unknown field selector: {name!r}")

@@ -82,6 +82,22 @@ def test_nonprime_field_selector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "field, literal, message",
+    [
+        ("rational", "٣", "invalid rational literal: '٣'"),  # ARABIC-INDIC DIGIT THREE
+        ("rational", "1/٣", "invalid rational literal: '1/٣'"),
+        ("quaternion", "٣i", "invalid quaternion literal: '٣i'"),
+        ("gf:١٠١", "1", "invalid GF modulus: '١٠١'"),
+        ("gf:7", "²", "invalid GF(7) literal: '²'"),  # SUPERSCRIPT TWO
+    ],
+    ids=["rational", "denominator", "quaternion", "gf-modulus", "gf"],
+)
+def test_literals_take_only_ascii_digits(capsys, field, literal, message):
+    code, out, err = run_cli(capsys, "eval", "--field", field, "--", literal, "2", "3", "4")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_eval_over_a_61_bit_mersenne_prime_field():
     done = run_process("eval", "--field", f"gf:{2**61 - 1}", "1", "2", "3", "4")
     assert done.returncode == 0 and done.stdout.strip().isdigit()

@@ -5,6 +5,9 @@ Derived example values are recomputed here through standalone oracles
 modular exponentiation) rather than trusted from the implementation.
 """
 
+import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,18 @@ from crossratio.fields import (
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def q_add(p, q):
+    return tuple(x + y for x, y in zip(p, q))
+
+
+def q_sub(p, q):
+    return tuple(x - y for x, y in zip(p, q))
+
+
+def q_neg(p):
+    return tuple(-x for x in p)
 
 
 def q_mul(p, q):
@@ -48,9 +63,42 @@ def q_inv(p):
     return (p[0] / n, -p[1] / n, -p[2] / n, -p[3] / n)
 
 
+def q_str(p):
+    # canonical spelling: nonzero terms in 1, i, j, k order; a unit coefficient of 1 is dropped
+    terms = []
+    for coeff, unit in zip(p, ("", "i", "j", "k")):
+        if coeff == 0:
+            continue
+        if unit and coeff in (1, -1):
+            body = unit if coeff == 1 else "-" + unit
+        else:
+            body = f"{coeff}{unit}"
+        terms.append(body if not terms or body.startswith("-") else "+" + body)
+    return "".join(terms) or "0"
+
+
+def q_parse(text):
+    # sum of signed terms, each a rational times at most one unit; whitespace is ignored
+    parts = [Fraction(0)] * 4
+    for term in re.findall(r"[+-]?[^+-]+", re.sub(r"\s+", "", text)):
+        unit = term[-1] if term[-1] in "ijk" else ""
+        coeff = term[: len(term) - len(unit)]
+        if coeff in ("", "+", "-"):
+            coeff += "1"
+        parts[("", "i", "j", "k").index(unit)] += Fraction(coeff)
+    return tuple(parts)
+
+
 def q_parts(x):
-    # read components back out of a quaternion element via the basis expansion
-    return tuple(Fraction(part) for part in x.value)
+    # the payload (a, b, c, d, n) read back as the four coefficients a/n, b/n, c/n, d/n
+    *numerators, n = x.value
+    return tuple(Fraction(part, n) for part in numerators)
+
+
+def assert_reduced(x):
+    # the unique payload: four ints over a positive int denominator, in lowest terms
+    assert all(type(part) is int for part in x.value)
+    assert x.value[4] > 0 and math.gcd(*x.value) == 1
 
 
 def mod_inv(a, p):
@@ -194,6 +242,90 @@ def test_quaternion_norm_is_multiplicative(coeffs):
     p, q = coeffs[:4], coeffs[4:]
     x, y = QUATERNION.element(p), QUATERNION.element(q)
     assert QUATERNION.norm(x * y) == q_norm(p) * q_norm(q)
+
+
+# ---------------------------------------------------------------- quaternion payload vs oracle
+
+# Desk-scale coefficients (which often share a denominator) and the 256-bit
+# numerators and denominators of the benchmark's bignum requests.
+QUATERNION_COEFFS = {
+    "small": st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    "256-bit": st.builds(Fraction, st.integers(-(2**256), 2**256), st.integers(1, 2**256)),
+}
+
+
+def quaternion_tuples(coeff):
+    return st.tuples(coeff, coeff, coeff, coeff)
+
+
+@pytest.mark.parametrize("size", QUATERNION_COEFFS)
+@given(data=st.data())
+def test_quaternion_ops_match_fraction_oracle(size, data):
+    p, q = data.draw(st.tuples(*[quaternion_tuples(QUATERNION_COEFFS[size])] * 2))
+    x, y = QUATERNION.element(p), QUATERNION.element(q)
+    results = [
+        (x, p),
+        (x + y, q_add(p, q)),
+        (x - y, q_sub(p, q)),
+        (x + x, q_add(p, p)),
+        (x - x, (0, 0, 0, 0)),
+        (-x, q_neg(p)),
+        (x * y, q_mul(p, q)),
+    ]
+    if any(p):
+        results.append((x.inv(), q_inv(p)))
+    for got, want in results:
+        assert q_parts(got) == want
+        assert_reduced(got)
+    assert QUATERNION.norm(x) == q_norm(p)
+    assert str(x) == q_str(p)
+    assert QUATERNION.parse(q_str(p)) == x
+
+
+@pytest.mark.parametrize("size", QUATERNION_COEFFS)
+@given(data=st.data())
+def test_quaternion_equality_and_hash_match_oracle(size, data):
+    quat = quaternion_tuples(QUATERNION_COEFFS[size])
+    p = data.draw(quat)
+    q = data.draw(st.one_of(st.just(p), quat))
+    z = data.draw(quat.filter(any))
+    x = QUATERNION.element(p)
+    # reach q by a detour, so its payload is reduced from a different unreduced form
+    zq = QUATERNION.element(z)
+    y = (QUATERNION.element(q) * zq) * zq.inv() + zq - zq
+    assert (x == y) == (p == q)
+    if p == q:
+        assert hash(x) == hash(y)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from("+-"),
+            st.one_of(st.none(), st.fractions(min_value=0, max_value=50, max_denominator=9)),
+            st.sampled_from(["", "i", "j", "k"]),
+        ).filter(lambda term: term[1] is not None or term[2]),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_quaternion_parse_matches_oracle(terms):
+    # repeated units, leading '+', explicit 1 and 0 coefficients: spellings str() never makes
+    text = "".join(
+        sign + ("" if coeff is None else str(coeff)) + unit for sign, coeff, unit in terms
+    )
+    x = QUATERNION.parse(text)
+    assert q_parts(x) == q_parse(text)
+    assert_reduced(x)
+
+
+def test_random_quaternion_is_four_rational_draws():
+    for seed in range(20):
+        rng = random.Random(seed)
+        want = tuple(RATIONAL.random_element(rng).value for _ in range(4))
+        x = QUATERNION.random_element(random.Random(seed))
+        assert q_parts(x) == want
+        assert_reduced(x)
 
 
 # ---------------------------------------------------------------- centrality
