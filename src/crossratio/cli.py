@@ -157,8 +157,9 @@ def _cmd_construct(args) -> int:
             raise DegenerateConfigurationError(
                 "SVG output is limited to the rational plane"
             )
+        figure = render_construction(trace)  # before open(), so a failure leaves no file
         with open(args.svg, "w", encoding="utf-8") as sink:
-            sink.write(render_construction(trace))
+            sink.write(figure)
     if args.fmt == "json":
         payload = {
             "op": trace.kind,

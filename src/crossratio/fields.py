@@ -3,7 +3,8 @@
 Supported fields: the rationals, prime fields GF(p), and the rational
 quaternions (a genuinely noncommutative division ring).  All arithmetic is
 arbitrary-precision and exact; floating point never appears.  Elements carry
-a reference to their field instance and refuse to combine across fields.
+a reference to their field instance and refuse to combine across unequal
+fields; equal instances mix, and `is` is tested first only as a shortcut.
 
 The module also owns the element literal grammar shared with the CLI:
 
@@ -27,7 +28,7 @@ RANDOM_COEFF_BOUND = 1000
 
 
 class FieldMismatchError(ValueError):
-    """Binary operation applied to elements of different field instances."""
+    """Binary operation applied to elements of unequal fields."""
 
 
 class DivisionByZeroError(ZeroDivisionError):
@@ -56,7 +57,7 @@ class Element:
     def _check(self, other) -> "Element":
         if not isinstance(other, Element):
             raise TypeError(f"expected a field element, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatchError(f"mixing elements of {self.field} and {other.field}")
         return other
 
@@ -78,10 +79,10 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.field == other.field and self.value == other.value
+        return self.value == other.value and (self.field is other.field or self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        return hash(self.value)  # equal elements have equal payloads
 
     def __str__(self):
         return self.field._format(self.value)
@@ -107,7 +108,7 @@ class Field:
     def element(self, raw) -> Element:
         """Coerce an int, Fraction, literal string, or payload to an Element."""
         if isinstance(raw, Element):
-            if raw.field != self:
+            if raw.field is not self and raw.field != self:
                 raise FieldMismatchError(f"element of {raw.field} is not in {self}")
             return raw
         if isinstance(raw, str):

@@ -56,7 +56,7 @@ class PlanePoint:
     y: Element
 
     def __post_init__(self):
-        if self.x.field != self.y.field:
+        if self.x.field is not self.y.field and self.x.field != self.y.field:
             raise FieldMismatchError("point coordinates must share a field")
 
     @property

@@ -65,7 +65,8 @@ class ExtendedPoint:
 
     def __eq__(self, other):
         if isinstance(other, ExtendedPoint):
-            return self.field == other.field and self.value == other.value
+            same_field = self.field is other.field or self.field == other.field
+            return same_field and self.value == other.value
         if isinstance(other, Element):
             return not self.is_infinity and self.value == other
         return NotImplemented
@@ -92,7 +93,7 @@ def _as_extended(x: Element | ExtendedPoint) -> ExtendedPoint:
 def _same_field(points: tuple[ExtendedPoint, ...]) -> Field:
     field = points[0].field
     for p in points[1:]:
-        if p.field != field:
+        if p.field is not field and p.field != field:
             raise FieldMismatchError(f"mixing elements of {field} and {p.field}")
     return field
 
@@ -119,48 +120,44 @@ def cross_ratio(
 ) -> ExtendedPoint:
     """Cross-ratio c_r(A,B;C,D) of four collinear points, at most one infinite.
 
-    Case order: a single infinite argument selects its reduced formula; then
-    a coincidence between two arguments selects the fixed degenerate value
-    (A=B -> 1, A=C -> 0, A=D -> inf, B=C -> inf, B=D -> 0, C=D -> 1); only a
-    tuple of four distinct finite points reaches the defining product.
-    Three equal arguments, or two infinite ones, are rejected.
+    Every case is decided by the six coincidences ab, ac, ad, bc, bd, cd
+    (ab means A = B; the point at infinity equals no argument), in order:
+    two infinite arguments, or three coincident ones (ab and (bc or bd), or
+    cd and (ac or bc)), are rejected; a single infinite argument selects its
+    reduced formula, which is inf when the inverted difference vanishes (bc
+    for an infinite A or D, ad for an infinite B or C); otherwise ab or cd
+    gives 1, then ac or bd gives 0, then ad or bc gives inf, and only four
+    distinct finite points reach the defining product.
     """
-    points = tuple(_as_extended(x) for x in (a, b, c, d))
+    pa, pb, pc, pd = points = tuple(map(_as_extended, (a, b, c, d)))
     field = _same_field(points)
-
-    infinite = [i for i, p in enumerate(points) if p.is_infinity]
-    if len(infinite) > 1:
+    ea, eb, ec, ed = pa.value, pb.value, pc.value, pd.value  # None is infinity
+    if (ea is None) + (eb is None) + (ec is None) + (ed is None) > 1:
         raise CrossRatioArgumentError("at most one cross-ratio argument may be infinite")
-
-    finite = [p.value for p in points if not p.is_infinity]
-    if max(finite.count(v) for v in finite) >= 3:
+    # An element never equals None, so a pair with the infinite point is False.
+    ab, ac, ad, bc, bd, cd = ea == eb, ea == ec, ea == ed, eb == ec, eb == ed, ec == ed
+    if (ab and (bc or bd)) or (cd and (ac or bc)):
         raise CrossRatioArgumentError("no three cross-ratio arguments may coincide")
 
-    if infinite:
-        ea, eb, ec, ed = (p.value for p in points)
-        if infinite[0] == 0:
-            num, den = eb - ed, eb - ec  # c_r(inf,B;C,D) = (B-D)(B-C)^-1
-        elif infinite[0] == 1:
-            den, num = ea - ed, ea - ec  # c_r(A,inf;C,D) = (A-D)^-1(A-C)
-        elif infinite[0] == 2:
-            den, num = ea - ed, eb - ed  # c_r(A,B;inf,D) = (A-D)^-1(B-D)
-        else:
-            den, num = eb - ec, ea - ec  # c_r(A,B;C,inf) = (B-C)^-1(A-C)
-        if den.is_zero:
-            return ExtendedPoint.infinity(field)  # 0^-1 = inf convention
-        if infinite[0] == 0:
-            return ExtendedPoint.finite(num * den.inv())
-        return ExtendedPoint.finite(den.inv() * num)
-
-    ea, eb, ec, ed = (p.value for p in points)
-    if ea == eb or ec == ed:
+    if ea is None:  # c_r(inf,B;C,D) = (B-D)(B-C)^-1
+        num, den = eb - ed, eb - ec
+        return ExtendedPoint.infinity(field) if bc else ExtendedPoint.finite(num * den.inv())
+    if eb is None:  # c_r(A,inf;C,D) = (A-D)^-1(A-C)
+        den, num, vanishes = ea - ed, ea - ec, ad
+    elif ec is None:  # c_r(A,B;inf,D) = (A-D)^-1(B-D)
+        den, num, vanishes = ea - ed, eb - ed, ad
+    elif ed is None:  # c_r(A,B;C,inf) = (B-C)^-1(A-C)
+        den, num, vanishes = eb - ec, ea - ec, bc
+    elif ab or cd:
         return ExtendedPoint.finite(field.one)
-    if ea == ec or eb == ed:
+    elif ac or bd:
         return ExtendedPoint.finite(field.zero)
-    if ea == ed or eb == ec:
+    elif ad or bc:
         return ExtendedPoint.infinity(field)
-    value = ((ea - ed).inv() * (eb - ed)) * ((eb - ec).inv() * (ea - ec))
-    return ExtendedPoint.finite(value)
+    else:
+        return ExtendedPoint.finite(((ea - ed).inv() * (eb - ed)) * ((eb - ec).inv() * (ea - ec)))
+    # 0^-1 = inf convention
+    return ExtendedPoint.infinity(field) if vanishes else ExtendedPoint.finite(den.inv() * num)
 
 
 def cross_ratio_alt(a: Element, b: Element, c: Element, d: Element) -> Element:

@@ -3,19 +3,27 @@
 Exact rational coordinates are converted to floats rounded to 6 decimals
 for drawing only; nothing here feeds back into computation.  The viewBox
 is auto-fitted to the labeled points with a margin, lines are drawn as
-full-width chords of the view, and points become labeled circles.
+full-width chords of the view, and points become labeled circles.  A number
+that does not fit in a float raises DegenerateConfigurationError.
 """
 
 from __future__ import annotations
 
-from .plane import Construction, PlaneLine
+import math
+
+from .plane import Construction, DegenerateConfigurationError, PlaneLine
 
 
 def _f(value) -> float:
-    return round(float(value.value), 6)
+    try:
+        return round(float(value.value), 6)
+    except OverflowError:
+        raise DegenerateConfigurationError("an SVG coordinate is out of float range") from None
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise DegenerateConfigurationError("SVG figure is too large to draw in floats")
     return f"{x:.6g}"
 
 

@@ -380,6 +380,26 @@ def test_construct_svg_needs_rational_plane(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        # 10^400 does not convert to a float
+        ("--O=0,0", f"--I=1{'0' * 400},0", "--A=2,0", "--B=3,0"),
+        # each coordinate converts, but the view spans 2*10^308, which is inf
+        (f"--O=-1{'0' * 308},0", f"--I=1{'0' * 308},0", "--A=0,0", "--B=1,0"),
+    ],
+    ids=["coordinate-overflow", "view-overflow"],
+)
+def test_construct_svg_out_of_float_range(tmp_path, capsys, points):
+    target = tmp_path / "figure.svg"
+    code, out, err = run_cli(
+        capsys, "construct", "add", "--field", "rational", *points, "--svg", str(target)
+    )
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------- desargues
 
 

@@ -19,12 +19,15 @@ from crossratio.fields import (
     DivisionByZeroError,
     FieldMismatchError,
     GaloisField,
+    QuaternionField,
     _is_prime,
     commutes,
     conjugate_by,
     field_by_name,
     is_central,
 )
+from crossratio.plane import PlanePoint
+from crossratio.ratio import ExtendedPoint, cross_ratio
 
 
 # ---------------------------------------------------------------- oracles
@@ -150,6 +153,57 @@ def test_mixing_fields_raises():
         RATIONAL.element(1) + GF5.element(1)
     with pytest.raises(FieldMismatchError):
         GF5.element(2) * GF7.element(2)
+
+
+# Field checks take `is` as a shortcut and fall back to `==`: two separately
+# built equal fields must still mix at every site that compares fields.
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (GaloisField(7), GaloisField(7)),
+        (field_by_name("rational"), RATIONAL),
+        (QuaternionField(), QUATERNION),
+    ],
+    ids=["gf7", "rational", "quaternion"],
+)
+def test_equal_field_instances_mix(f, g):
+    assert f is not g and f == g and hash(f) == hash(g)
+    x, y = f.element(3), g.element(3)
+    assert x == y and y == x and hash(x) == hash(y)  # Element.__eq__, __hash__
+    assert x + y == g.element(6) and x - y == g.zero and x * y == g.element(9)  # Element._check
+    assert g.element(x) is x  # Field.element
+    assert PlanePoint(x, g.one).y == f.one  # PlanePoint.__post_init__
+    fx, gy = ExtendedPoint.finite(x), ExtendedPoint.finite(y)
+    assert fx == gy and hash(fx) == hash(gy)  # ExtendedPoint.__eq__
+    assert ExtendedPoint.infinity(f) == ExtendedPoint.infinity(g)
+    mixed = cross_ratio(f.element(2), g.element(5), ExtendedPoint.finite(f.one), g.zero)  # _same_field
+    assert mixed == cross_ratio(*(g.element(n) for n in (2, 5, 1, 0)))
+    assert cross_ratio(ExtendedPoint.infinity(f), g.element(2), f.element(5), g.one).value == (
+        (g.element(2) - g.one) * (g.element(2) - g.element(5)).inv()
+    )
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [(GaloisField(7), GaloisField(11)), (RATIONAL, GF7)],
+    ids=["gf7-gf11", "rational-gf7"],
+)
+def test_different_fields_do_not_mix(f, g):
+    x, y = f.element(3), g.element(3)  # equal payloads, different fields
+    assert x != y and y != x  # Element.__eq__
+    for op in ("__add__", "__sub__", "__mul__"):
+        with pytest.raises(FieldMismatchError):  # Element._check
+            getattr(x, op)(y)
+    with pytest.raises(FieldMismatchError):  # Field.element
+        g.element(x)
+    with pytest.raises(FieldMismatchError):  # PlanePoint.__post_init__
+        PlanePoint(x, g.one)
+    assert ExtendedPoint.finite(x) != ExtendedPoint.finite(y)  # ExtendedPoint.__eq__
+    assert ExtendedPoint.infinity(f) != ExtendedPoint.infinity(g)
+    with pytest.raises(FieldMismatchError):  # _same_field
+        cross_ratio(f.element(1), f.element(2), f.element(4), y)
+    with pytest.raises(FieldMismatchError):
+        cross_ratio(ExtendedPoint.infinity(g), f.element(2), f.element(4), f.element(5))
 
 
 # ---------------------------------------------------------------- examples

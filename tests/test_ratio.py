@@ -5,13 +5,15 @@ Commutative-field values are cross-checked against a plain Fraction oracle,
 quaternion values against the standalone product-table oracle.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, field_and_elements
-from crossratio.fields import DivisionByZeroError
+from crossratio.fields import DivisionByZeroError, FieldMismatchError
 from crossratio.ratio import (
     CrossRatioArgumentError,
     ExtendedPoint,
@@ -211,6 +213,104 @@ def test_three_equal_arguments_rejected(field):
         cross_ratio(x, x, x, y)
     with pytest.raises(CrossRatioArgumentError):
         cross_ratio(x, x, x, x)
+
+
+# ---------------------------------------------------------------- case split vs reference
+
+
+def reference_cross_ratio(a, b, c, d):
+    """The list-and-count case analysis that the six-coincidence split replaced."""
+    points = tuple(x if isinstance(x, ExtendedPoint) else ExtendedPoint.finite(x) for x in (a, b, c, d))
+    field = points[0].field
+    for p in points[1:]:
+        if p.field != field:
+            raise FieldMismatchError(f"mixing elements of {field} and {p.field}")
+
+    infinite = [i for i, p in enumerate(points) if p.is_infinity]
+    if len(infinite) > 1:
+        raise CrossRatioArgumentError("at most one cross-ratio argument may be infinite")
+
+    finite = [p.value for p in points if not p.is_infinity]
+    if max(finite.count(v) for v in finite) >= 3:
+        raise CrossRatioArgumentError("no three cross-ratio arguments may coincide")
+
+    if infinite:
+        ea, eb, ec, ed = (p.value for p in points)
+        if infinite[0] == 0:
+            num, den = eb - ed, eb - ec  # c_r(inf,B;C,D) = (B-D)(B-C)^-1
+        elif infinite[0] == 1:
+            den, num = ea - ed, ea - ec  # c_r(A,inf;C,D) = (A-D)^-1(A-C)
+        elif infinite[0] == 2:
+            den, num = ea - ed, eb - ed  # c_r(A,B;inf,D) = (A-D)^-1(B-D)
+        else:
+            den, num = eb - ec, ea - ec  # c_r(A,B;C,inf) = (B-C)^-1(A-C)
+        if den.is_zero:
+            return ExtendedPoint.infinity(field)  # 0^-1 = inf convention
+        if infinite[0] == 0:
+            return ExtendedPoint.finite(num * den.inv())
+        return ExtendedPoint.finite(den.inv() * num)
+
+    ea, eb, ec, ed = (p.value for p in points)
+    if ea == eb or ec == ed:
+        return ExtendedPoint.finite(field.one)
+    if ea == ec or eb == ed:
+        return ExtendedPoint.finite(field.zero)
+    if ea == ed or eb == ec:
+        return ExtendedPoint.infinity(field)
+    value = ((ea - ed).inv() * (eb - ed)) * ((eb - ec).inv() * (ea - ec))
+    return ExtendedPoint.finite(value)
+
+
+def outcome(fn, points):
+    """The result of fn(*points), or the class and message of what it raised."""
+    try:
+        return fn(*points)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_agrees_with_reference(points):
+    got, want = outcome(cross_ratio, points), outcome(reference_cross_ratio, points)
+    if isinstance(want, ExtendedPoint):
+        assert isinstance(got, ExtendedPoint) and got.is_infinity == want.is_infinity
+        assert got == want and str(got) == str(want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("fld", [GF5, GF7], ids=lambda f: f.name)
+def test_cross_ratio_matches_reference_on_every_tuple(fld):
+    # every 4-tuple over GF(p) and inf: 6^4 tuples for p = 5, 8^4 for p = 7;
+    # gf:7 passes its finite points wrapped, to cover both argument types
+    wrap = ExtendedPoint.finite if fld is GF7 else (lambda x: x)
+    line = [ExtendedPoint.infinity(fld)] + [wrap(x) for x in fld.elements()]
+    tuples = list(itertools.product(line, repeat=4))
+    assert len(tuples) == (fld.p + 1) ** 4
+    for points in tuples:
+        assert_agrees_with_reference(points)
+
+
+# A pattern names each argument: a letter picks one of four distinct elements,
+# "*" is the point at infinity.  All 5^4 patterns cover AABC, ABCA, AAAB, one
+# or two infinite points and four distinct points.
+PATTERNS = ["".join(p) for p in itertools.product("ABCD*", repeat=4)]
+
+
+@given(field_and_elements(4, distinct=True, fields=(RATIONAL, QUATERNION)), st.sampled_from(PATTERNS))
+def test_cross_ratio_matches_reference_on_coincidence_patterns(fx, pattern):
+    fld, xs = fx
+    lookup = dict(zip("ABCD", xs), **{"*": ExtendedPoint.infinity(fld)})
+    assert_agrees_with_reference([lookup[ch] for ch in pattern])
+
+
+@pytest.mark.parametrize("fld", [RATIONAL, QUATERNION], ids=lambda f: f.name)
+def test_cross_ratio_matches_reference_on_every_pattern(fld):
+    xs = [fld.element(n) for n in (2, 5, -3, 7)]
+    if fld is QUATERNION:  # an injective affine map off the real line
+        xs = [x * fld.element((1, 1, 0, 2)) + fld.element((0, 1, -1, 0)) for x in xs]
+    lookup = dict(zip("ABCD", xs), **{"*": ExtendedPoint.infinity(fld)})
+    for pattern in PATTERNS:
+        assert_agrees_with_reference([lookup[ch] for ch in pattern])
 
 
 # ---------------------------------------------------------------- solving
