@@ -2,7 +2,10 @@
 """Emit SVG figures of the ruler constructions for a worked example.
 
 Draws the three-step sum and product constructions over the rational
-plane and writes one SVG per operation.
+plane and writes one SVG per operation.  Exit codes follow the CLI's: 0
+success, 2 an unparseable operand, 3 a figure that cannot be drawn (a
+coordinate out of float range).  Both figures are rendered before the
+output directory is created, so a failure writes nothing.
 """
 
 import argparse
@@ -12,7 +15,13 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from crossratio.fields import RationalField
-from crossratio.plane import construct_product, construct_sum, coordinatize, point
+from crossratio.plane import (
+    DegenerateConfigurationError,
+    construct_product,
+    construct_sum,
+    coordinatize,
+    point,
+)
 from crossratio.svg import render_construction
 
 
@@ -24,17 +33,29 @@ def main() -> int:
     args = parser.parse_args()
 
     field = RationalField()
+    try:
+        a = point(field, field.parse(args.a), 0)
+        b = point(field, field.parse(args.b), 0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     o, i = point(field, 0, 0), point(field, 1, 0)
-    a = point(field, field.parse(args.a), 0)
-    b = point(field, field.parse(args.b), 0)
     aux = point(field, 0, 1)
+
+    figures = []
+    try:
+        for label, builder in (("sum", construct_sum), ("product", construct_product)):
+            built = builder(o, i, a, b, aux)
+            figures.append((label, built, render_construction(built)))
+    except DegenerateConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for label, builder in (("sum", construct_sum), ("product", construct_product)):
-        built = builder(o, i, a, b, aux)
+    for label, built, figure in figures:
         target = out_dir / f"{label}.svg"
-        target.write_text(render_construction(built))
+        target.write_text(figure)
         value = coordinatize(o, i, built.result)
         print(f"{label}: C = {built.result} (coordinate {value}) -> {target}")
     return 0

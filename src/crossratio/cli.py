@@ -11,12 +11,17 @@ A verification or Desargues run that completes but finds failures exits 1.
 Bad configuration includes a GF modulus of PRIME_TEST_LIMIT (about
 3.3e24) or more, a `verify` field too small to give some check any valid
 input (gf:2 and gf:3), and a `desargues --count` below 1.
+
+`main(argv)` may be called repeatedly in one process: it parses with one
+parser, built on its first call and reused after, since argparse leaves a
+parser unchanged while parsing.  `build_parser()` returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -287,11 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact results may run past the default 4300 digits
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except InfiniteSolutionError as exc:

@@ -82,15 +82,16 @@ class ExtendedPoint:
         return f"<{self.field}: {self}>"
 
 
-def _as_extended(x: Element | ExtendedPoint) -> ExtendedPoint:
-    if isinstance(x, ExtendedPoint):
-        return x
+def _finite_value(x: Element | ExtendedPoint) -> Element | None:
+    """The element x stands for, or None for the point at infinity."""
     if isinstance(x, Element):
-        return ExtendedPoint.finite(x)
+        return x
+    if isinstance(x, ExtendedPoint):
+        return x.value
     raise TypeError(f"expected an element or extended point, got {type(x).__name__}")
 
 
-def _same_field(points: tuple[ExtendedPoint, ...]) -> Field:
+def _same_field(points: tuple[Element | ExtendedPoint, ...]) -> Field:
     field = points[0].field
     for p in points[1:]:
         if p.field is not field and p.field != field:
@@ -129,9 +130,8 @@ def cross_ratio(
     gives 1, then ac or bd gives 0, then ad or bc gives inf, and only four
     distinct finite points reach the defining product.
     """
-    pa, pb, pc, pd = points = tuple(map(_as_extended, (a, b, c, d)))
-    field = _same_field(points)
-    ea, eb, ec, ed = pa.value, pb.value, pc.value, pd.value  # None is infinity
+    ea, eb, ec, ed = map(_finite_value, (a, b, c, d))  # None is infinity
+    field = _same_field((a, b, c, d))
     if (ea is None) + (eb is None) + (ec is None) + (ed is None) > 1:
         raise CrossRatioArgumentError("at most one cross-ratio argument may be infinite")
     # An element never equals None, so a pair with the infinite point is False.

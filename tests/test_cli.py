@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import crossratio
-from crossratio.cli import main
+from crossratio.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -487,3 +487,44 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- parser reuse
+# main() reuses one parser across calls, so no option may leak into the next call.
+
+
+def test_desargues_tamper_flag_does_not_leak_into_the_next_call(capsys):
+    args = ("desargues", "--field", "rational", "--count", "1", "--format", "json")
+    first = run_cli(capsys, *args)
+    flipped = run_cli(capsys, *args, "--flip-c-prime")
+    third = run_cli(capsys, *args)
+    assert (first[0], flipped[0], third[0]) == (0, 1, 0)
+    assert first[1] == third[1]
+
+
+def test_verify_seed_does_not_leak_into_the_next_call(capsys):
+    args = ("verify", "--field", "gf:5", "--samples", "2", "--format", "json")
+    code, out, _ = run_cli(capsys, *args, "--seed", "9")
+    assert code == 0 and json.loads(out)["seed"] == 9
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
+def test_out_path_does_not_leak_into_the_next_call(tmp_path, capsys):
+    target = tmp_path / "result.txt"
+    code, out, _ = run_cli(capsys, "eval", "--out", str(target), "2", "3", "1", "0")
+    assert code == 0 and out == "" and target.read_text() == "3/4\n"
+    code, out, _ = run_cli(capsys, "eval", "5", "3", "1", "0")
+    assert code == 0 and out == "6/5\n"
+    assert target.read_text() == "3/4\n"
+
+
+def test_help_is_the_parser_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -28,6 +30,32 @@ def test_draw_construction(tmp_path):
     for name in ("sum", "product"):
         body = (tmp_path / "figs" / f"{name}.svg").read_text()
         assert body.startswith("<svg") and ">P1<" in body
+
+
+@pytest.mark.parametrize("literal", ["x", "1/0"])
+def test_draw_construction_bad_literal_exits_2(tmp_path, literal):
+    done = run_script("draw_construction.py", "--a", literal, "--out-dir", "figs", cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "operands",
+    [
+        (str(10**400), "3"),
+        # the sum fits in a float and only the product does not
+        (str(10**200), str(10**200)),
+    ],
+)
+def test_draw_construction_out_of_float_range_exits_3_and_writes_nothing(tmp_path, operands):
+    a, b = operands
+    done = run_script("draw_construction.py", "--a", a, "--b", b, "--out-dir", "figs", cwd=tmp_path)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resolve_conjugation_form(tmp_path):
