@@ -166,12 +166,13 @@ def _cmd_construct(args) -> int:
         with open(args.svg, "w", encoding="utf-8") as sink:
             sink.write(figure)
     if args.fmt == "json":
+        points = {name: str(p) for name, p in trace.points.items()}
         payload = {
             "op": trace.kind,
             "field": field.name,
-            "points": {name: str(p) for name, p in trace.points.items()},
+            "points": points,
             "lines": [[label, str(line)] for label, line in trace.lines],
-            "result": str(trace.result),
+            "result": points["C"],  # trace.result is point C, already formatted
             "value": str(value),
         }
         _emit(json.dumps(payload, indent=2), args.out)

@@ -234,6 +234,37 @@ def test_quaternion_examples():
     assert q_parts(i.inv()) == q_inv(I_Q)
 
 
+def test_quaternion_sum_reduces_by_the_shared_denominator_factor():
+    q = QUATERNION.parse
+    # equal denominators (g = 6) and numerators (6, 0, 0, 0) sharing h = 6 with g
+    assert (q("1/6+1/6i") + q("5/6-1/6i")).value == (1, 0, 0, 0, 1)
+    # numerator content 4 but only h = 2 shared with the denominators' g = 2
+    assert (q("1/2") + q("3/2")).value == (2, 0, 0, 0, 1)
+    # coprime denominators (g = 1): nothing to reduce
+    assert (q("1/2i") + q("1/3j")).value == (0, 3, 2, 0, 6)
+
+
+def test_quaternion_inverse_reduces_by_content_and_norm_factor():
+    q = QUATERNION.parse
+    # content 2, norm 12, gcd(n, norm) = 3: the factor is 6
+    assert q("2/3+2/3i+2/3j").inv().value == (1, -1, -1, 0, 2)
+    assert q("2/3+2/3i+2/3j").inv() == q("1/2-1/2i-1/2j")
+    assert q("-5/7").inv().value == (-7, 0, 0, 0, 5)  # scalar: content |a|, norm a^2
+    assert q("i").inv().value == (0, -1, 0, 0, 1)
+
+
+def test_quaternion_format_examples():
+    q = QUATERNION.parse
+    assert str(q("i")) == "i" and str(q("-i")) == "-i"
+    assert str(q("-k")) == "-k" and str(q("1-j")) == "1-j"
+    # over the shared denominator 2, the i, j and k coefficients reduce to 1, -1 and 3
+    x = QUATERNION.element((Fraction(1, 2), 1, -1, 3))
+    assert x.value == (1, 2, -2, 6, 2) and str(x) == "1/2+i-j+3k"
+    # a numerator of +-1 over a denominator above 1 is no unit coefficient
+    assert str(q("1/2+1/2i-1/2j")) == "1/2+1/2i-1/2j"
+    assert str(q("-4/2")) == "-2" and str(QUATERNION.zero) == "0"
+
+
 def test_inverse_of_zero_raises(field):
     with pytest.raises(DivisionByZeroError):
         field.zero.inv()
@@ -300,11 +331,13 @@ def test_quaternion_norm_is_multiplicative(coeffs):
 
 # ---------------------------------------------------------------- quaternion payload vs oracle
 
-# Desk-scale coefficients (which often share a denominator) and the 256-bit
-# numerators and denominators of the benchmark's bignum requests.
+# Desk-scale coefficients (which often share a denominator), the 256-bit
+# numerators and denominators of the benchmark's bignum requests, and the
+# 2048-bit size that the coordinates of their quaternion constructions reach.
 QUATERNION_COEFFS = {
     "small": st.fractions(min_value=-6, max_value=6, max_denominator=6),
     "256-bit": st.builds(Fraction, st.integers(-(2**256), 2**256), st.integers(1, 2**256)),
+    "2048-bit": st.builds(Fraction, st.integers(-(2**2048), 2**2048), st.integers(1, 2**2048)),
 }
 
 
