@@ -16,10 +16,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from crossratio.fields import RationalField
 from crossratio.plane import (
+    Chart,
     DegenerateConfigurationError,
     construct_product,
     construct_sum,
-    coordinatize,
     point,
 )
 from crossratio.svg import render_construction
@@ -39,13 +39,13 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    o, i = point(field, 0, 0), point(field, 1, 0)
+    chart = Chart(point(field, 0, 0), point(field, 1, 0))
     aux = point(field, 0, 1)
 
     figures = []
     try:
         for label, builder in (("sum", construct_sum), ("product", construct_product)):
-            built = builder(o, i, a, b, aux)
+            built = builder(chart, a, b, aux)
             figures.append((label, built, render_construction(built)))
     except DegenerateConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -56,7 +56,7 @@ def main() -> int:
     for label, built, figure in figures:
         target = out_dir / f"{label}.svg"
         target.write_text(figure)
-        value = coordinatize(o, i, built.result)
+        value = chart.coordinate(built.result)
         print(f"{label}: C = {built.result} (coordinate {value}) -> {target}")
     return 0
 

@@ -5,7 +5,10 @@ For invertible collinear points the cross-ratio of the inverses is a
 conjugate of a cross-ratio of the original points: A * X * A^-1.  Two
 candidate argument orders for X are plausible a priori; over quaternions
 only one can survive random sampling.  This script reports the match
-counts for both candidates and the surviving form.
+counts for both candidates and the surviving form.  Exit status: 0 when
+form_abcd survives, 1 otherwise, 2 a bad argument (an unknown or
+non-prime field, a field too small to give the check any input, or fewer
+than one sample), reported as one `error:` line.
 """
 
 import argparse
@@ -26,9 +29,13 @@ def main() -> int:
     parser.add_argument("--samples", type=int, default=1000)
     args = parser.parse_args()
 
-    out = resolve_conjugation_form(
-        seed=args.seed, samples=args.samples, field=field_by_name(args.field)
-    )
+    try:
+        out = resolve_conjugation_form(
+            seed=args.seed, samples=args.samples, field=field_by_name(args.field)
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(out, indent=2))
     print(
         f"\ncr(A^-1,B^-1;C^-1,D^-1) = A * cr(A,B;C,D) * A^-1  "

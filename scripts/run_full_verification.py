@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Run the whole identity suite over every field and summarize the outcome.
 
-Writes one JSON report per field and prints a per-check table.  A nonzero
-exit status means at least one non-skipped check failed somewhere.
+Writes one JSON report per field and prints a per-check table.  Exit
+status: 0 every non-skipped check passed, 1 at least one failed somewhere,
+2 a bad argument (an unknown or non-prime field, a field too small to give
+some check any input, or fewer than one sample), reported as one `error:`
+line.  Every field name is resolved before anything is written, and the
+output directory is created only once the first report is complete.
 """
 
 import argparse
@@ -13,6 +17,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from crossratio.fields import field_by_name
 from crossratio.verify import run_suite
 
 DEFAULT_FIELDS = ["rational", "gf:5", "gf:101", "quaternion"]
@@ -26,16 +31,24 @@ def main() -> int:
     parser.add_argument("--out-dir", default="verification_reports")
     args = parser.parse_args()
 
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        return run(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run(args) -> int:
+    fields = [field_by_name(name) for name in args.fields]
+    out_dir = pathlib.Path(args.out_dir)
     all_passed = True
-    for name in args.fields:
+    for name, field in zip(args.fields, fields):
         started = time.time()
-        report = run_suite(name, seed=args.seed, samples=args.samples)
+        report = run_suite(field, seed=args.seed, samples=args.samples)
         elapsed = time.time() - started
         all_passed &= report["passed"]
 
+        out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / f"{name.replace(':', '_')}.json"
         target.write_text(json.dumps(report, indent=2))
 

@@ -23,6 +23,7 @@ from .fields import (
 )
 from .plane import (
     AuxiliaryPointError,
+    Chart,
     Construction,
     DegenerateConfigurationError,
     DesarguesConfig,
@@ -37,7 +38,6 @@ from .plane import (
     collinear,
     construct_product,
     construct_sum,
-    coordinatize,
     default_aux,
     generate_desargues_config,
     intersect,
@@ -45,7 +45,6 @@ from .plane import (
     parallel,
     parallel_through,
     point,
-    point_at,
     random_point,
     validate_desargues_config,
 )

@@ -35,6 +35,7 @@ from .fields import (
 )
 from .plane import (
     AuxiliaryPointError,
+    Chart,
     DegenerateConfigurationError,
     GenerationFailureError,
     HypothesisViolationError,
@@ -45,7 +46,6 @@ from .plane import (
     check_desargues,
     construct_product,
     construct_sum,
-    coordinatize,
     default_aux,
     generate_desargues_config,
 )
@@ -153,10 +153,11 @@ def _cmd_construct(args) -> int:
     i = _parse_point(field, args.I)
     a = _parse_point(field, args.A)
     b = _parse_point(field, args.B)
-    aux = _parse_point(field, args.aux) if args.aux else default_aux(o, i)
+    aux = _parse_point(field, args.aux) if args.aux else None
+    chart = Chart(o, i)
     build = construct_sum if args.op == "add" else construct_product
-    trace = build(o, i, a, b, aux)
-    value = coordinatize(o, i, trace.result)
+    trace = build(chart, a, b, default_aux(chart) if aux is None else aux)
+    value = chart.coordinate(trace.result)
     if args.svg is not None:
         if not isinstance(field, RationalField):
             raise DegenerateConfigurationError(

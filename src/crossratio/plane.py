@@ -3,13 +3,14 @@
 The plane is K^2 for a skew field K.  Lines are vertical, {(c, y)}, or
 sloped, {(x, x*m + b)}, with the slope multiplying x on the RIGHT; over a
 noncommutative field the two possible conventions give different
-coordinatizations, and every formula here is tied to this one.  On a fixed
-axis line with chosen base points O (zero) and I (one), the classical ruler
-constructions add and multiply axis points using only parallels and
-intersections, and the results agree with the field arithmetic of the
-coordinates.  The module also ships a checker and a seeded generator for
-Desargues configurations (two triangles in parallel or central perspective
-with two pairs of parallel sides).
+coordinatizations, and every formula here is tied to this one.  A Chart
+fixes an axis line with base points O (zero) and I (one); it builds the
+axis once and maps coordinates to axis points and back.  On a chart, the
+classical ruler constructions add and multiply axis points using only
+parallels and intersections, and the results agree with the field
+arithmetic of the coordinates.  The module also ships a checker and a
+seeded generator for Desargues configurations (two triangles in parallel
+or central perspective with two pairs of parallel sides).
 """
 
 from __future__ import annotations
@@ -171,22 +172,34 @@ def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
     return line_through(p, q).contains(r)
 
 
-def point_at(o: PlanePoint, i: PlanePoint, t: Element) -> PlanePoint:
-    """The point of the axis through o and i with coordinate t (o -> 0, i -> 1)."""
-    if o == i:
-        raise IdenticalPointsError("the base points of an axis must differ")
-    return PlanePoint(o.x + t * (i.x - o.x), o.y + t * (i.y - o.y))
+class Chart:
+    """A coordinate chart: the axis through O and I, with O at 0 and I at 1.
 
+    The axis is built once, when the chart is; that is also the check that
+    the base points differ (IdenticalPointsError).  A point of the axis has
+    coordinate t when it is O + t*(I - O), with t on the LEFT.
+    """
 
-def coordinatize(o: PlanePoint, i: PlanePoint, p: PlanePoint) -> Element:
-    """The coordinate of an axis point p under the o -> 0, i -> 1 chart."""
-    if o == i:
-        raise IdenticalPointsError("the base points of an axis must differ")
-    if not line_through(o, i).contains(p):
-        raise NotOnLineError(f"{p} is not on the axis through {o} and {i}")
-    if o.x == i.x:
-        return (p.y - o.y) * (i.y - o.y).inv()
-    return (p.x - o.x) * (i.x - o.x).inv()
+    __slots__ = ("o", "i", "axis")
+
+    def __init__(self, o: PlanePoint, i: PlanePoint):
+        self.o = o
+        self.i = i
+        self.axis = line_through(o, i)
+
+    def point_at(self, t: Element) -> PlanePoint:
+        """The axis point with coordinate t."""
+        o, i = self.o, self.i
+        return PlanePoint(o.x + t * (i.x - o.x), o.y + t * (i.y - o.y))
+
+    def coordinate(self, p: PlanePoint) -> Element:
+        """The coordinate of an axis point p."""
+        o, i = self.o, self.i
+        if not self.axis.contains(p):
+            raise NotOnLineError(f"{p} is not on the axis through {o} and {i}")
+        if self.axis.is_vertical:
+            return (p.y - o.y) * (i.y - o.y).inv()
+        return (p.x - o.x) * (i.x - o.x).inv()
 
 
 @dataclass(frozen=True)
@@ -199,17 +212,6 @@ class Construction:
     result: PlanePoint
 
 
-def _axis_setup(o, i, a, b, aux) -> PlaneLine:
-    axis = line_through(o, i)
-    if not axis.contains(a):
-        raise NotOnLineError("operand A must lie on the axis")
-    if not axis.contains(b):
-        raise NotOnLineError("operand B must lie on the axis")
-    if axis.contains(aux):
-        raise AuxiliaryPointError("the auxiliary point must not lie on the axis")
-    return axis
-
-
 def _meet(l1: PlaneLine, l2: PlaneLine, stage: str) -> PlanePoint:
     got = intersect(l1, l2)
     if got is None:
@@ -217,13 +219,27 @@ def _meet(l1: PlaneLine, l2: PlaneLine, stage: str) -> PlanePoint:
     return got
 
 
-def _ruler(kind, result_name, o, i, a, b, aux, axis, guide, target) -> Construction:
-    """The steps both constructions share once their guide and target lines are drawn.
+def _ruler(kind: str, chart: Chart, a, b, aux) -> Construction:
+    """The sum ("add") or product ("mul") construction on a chart.
 
+    The operands are checked against the axis before any line is drawn.
     P1 is where the parallel to the guide line through A meets the target
-    line; the result C is where the parallel to line B-aux through P1 meets
-    the axis.  guide and target are (label, line) pairs.
+    line; the two constructions differ only in those two lines.
     """
+    axis = chart.axis
+    if not axis.contains(a):
+        raise NotOnLineError("operand A must lie on the axis")
+    if not axis.contains(b):
+        raise NotOnLineError("operand B must lie on the axis")
+    if axis.contains(aux):
+        raise AuxiliaryPointError("the auxiliary point must not lie on the axis")
+    o_aux = ("O-B1", line_through(chart.o, aux))
+    if kind == "add":
+        result_name = "sum"
+        guide, target = o_aux, ("axis parallel through B1", parallel_through(axis, aux))
+    else:
+        result_name = "product"
+        guide, target = ("I-B1", line_through(chart.i, aux)), o_aux
     guide_label, guide_line = guide
     through_a = parallel_through(guide_line, a)
     p1 = _meet(through_a, target[1], "locating P1")
@@ -232,7 +248,7 @@ def _ruler(kind, result_name, o, i, a, b, aux, axis, guide, target) -> Construct
     c = _meet(through_p1, axis, f"locating the {result_name}")
     return Construction(
         kind=kind,
-        points={"O": o, "I": i, "A": a, "B": b, "B1": aux, "P1": p1, "C": c},
+        points={"O": chart.o, "I": chart.i, "A": a, "B": b, "B1": aux, "P1": p1, "C": c},
         lines=[
             ("axis", axis),
             guide,
@@ -245,39 +261,33 @@ def _ruler(kind, result_name, o, i, a, b, aux, axis, guide, target) -> Construct
     )
 
 
-def construct_sum(o, i, a, b, aux) -> Construction:
+def construct_sum(chart: Chart, a, b, aux) -> Construction:
     """Ruler construction of the axis point with coordinate coord(a)+coord(b).
 
     Steps: P1 is the intersection of the axis-parallel through the auxiliary
     point with the parallel to line O-aux through A; the result C is where
     the parallel to line B-aux through P1 meets the axis again.
     """
-    axis = _axis_setup(o, i, a, b, aux)
-    guide = ("O-B1", line_through(o, aux))
-    target = ("axis parallel through B1", parallel_through(axis, aux))
-    return _ruler("add", "sum", o, i, a, b, aux, axis, guide, target)
+    return _ruler("add", chart, a, b, aux)
 
 
-def construct_product(o, i, a, b, aux) -> Construction:
+def construct_product(chart: Chart, a, b, aux) -> Construction:
     """Ruler construction of the axis point with coordinate coord(a)*coord(b).
 
     Steps: P1 is the intersection of the parallel to line I-aux through A
     with line O-aux; the result C is where the parallel to line B-aux
     through P1 meets the axis.
     """
-    axis = _axis_setup(o, i, a, b, aux)
-    guide = ("I-B1", line_through(i, aux))
-    target = ("O-B1", line_through(o, aux))
-    return _ruler("mul", "product", o, i, a, b, aux, axis, guide, target)
+    return _ruler("mul", chart, a, b, aux)
 
 
-def default_aux(o: PlanePoint, i: PlanePoint) -> PlanePoint:
-    """A deterministic auxiliary point off the axis through o and i."""
-    axis = line_through(o, i)
+def default_aux(chart: Chart) -> PlanePoint:
+    """A deterministic auxiliary point off the chart's axis."""
+    o = chart.o
     field = o.field
     for dx, dy in ((field.zero, field.one), (field.one, field.zero)):
         candidate = _shift(o, dx, dy)
-        if not axis.contains(candidate):
+        if not chart.axis.contains(candidate):
             return candidate
     raise DegenerateConfigurationError("no off-axis point found")  # unreachable
 

@@ -34,18 +34,17 @@ from .fields import (
     is_central,
 )
 from .plane import (
+    Chart,
     GenerationFailureError,
     check_desargues,
     construct_product,
     construct_sum,
-    coordinatize,
     generate_desargues_config,
     intersect,
     line_through,
     parallel,
     parallel_through,
     point,
-    point_at,
     random_point,
 )
 from .ratio import (
@@ -772,17 +771,18 @@ def _draw_chart(field, rng):
 
 @_check(
     "coordinate_chart_roundtrip",
-    "point_at and coordinatize are mutually inverse on the axis",
+    "a chart's point_at and coordinate are mutually inverse on its axis",
     draw=_draw_chart,
 )
 def _eval_chart(field, inputs):
     o, i, t = inputs
-    p = point_at(o, i, t)
+    chart = Chart(o, i)
+    p = chart.point_at(t)
     return [
-        *_law("OIt", inputs, coordinatize(o, i, p), t),
-        *_law("OIt", inputs, point_at(o, i, coordinatize(o, i, p)), p),
-        *_law("OIt", inputs, coordinatize(o, i, o), field.zero),
-        *_law("OIt", inputs, coordinatize(o, i, i), field.one),
+        *_law("OIt", inputs, chart.coordinate(p), t),
+        *_law("OIt", inputs, chart.point_at(chart.coordinate(p)), p),
+        *_law("OIt", inputs, chart.coordinate(o), field.zero),
+        *_law("OIt", inputs, chart.coordinate(i), field.one),
     ]
 
 
@@ -791,7 +791,7 @@ def _draw_geometric(field, rng):
     i = random_point(field, rng)
     if o == i:
         return None
-    axis = line_through(o, i)
+    axis = Chart(o, i).axis
     aux = random_point(field, rng)
     if axis.contains(aux):
         return None
@@ -810,8 +810,9 @@ _GEOMETRIC_NAMES = ("O", "I", "a", "b", "aux")
 )
 def _eval_geometric_add(field, inputs):
     o, i, a, b, aux = inputs
-    result = construct_sum(o, i, point_at(o, i, a), point_at(o, i, b), aux).result
-    return _law(_GEOMETRIC_NAMES, inputs, coordinatize(o, i, result), a + b)
+    chart = Chart(o, i)
+    result = construct_sum(chart, chart.point_at(a), chart.point_at(b), aux).result
+    return _law(_GEOMETRIC_NAMES, inputs, chart.coordinate(result), a + b)
 
 
 @_check(
@@ -821,8 +822,9 @@ def _eval_geometric_add(field, inputs):
 )
 def _eval_geometric_mul(field, inputs):
     o, i, a, b, aux = inputs
-    result = construct_product(o, i, point_at(o, i, a), point_at(o, i, b), aux).result
-    return _law(_GEOMETRIC_NAMES, inputs, coordinatize(o, i, result), a * b)
+    chart = Chart(o, i)
+    result = construct_product(chart, chart.point_at(a), chart.point_at(b), aux).result
+    return _law(_GEOMETRIC_NAMES, inputs, chart.coordinate(result), a * b)
 
 
 def _draw_aux_family(field, rng):
@@ -830,7 +832,7 @@ def _draw_aux_family(field, rng):
     i = random_point(field, rng)
     if o == i:
         return None
-    axis = line_through(o, i)
+    axis = Chart(o, i).axis
     auxes = []
     tries = 0
     while len(auxes) < 10:
@@ -853,13 +855,14 @@ def _draw_aux_family(field, rng):
 )
 def _eval_aux_independence(field, inputs):
     o, i, a, b, auxes = inputs
-    pa, pb = point_at(o, i, a), point_at(o, i, b)
+    chart = Chart(o, i)
+    pa, pb = chart.point_at(a), chart.point_at(b)
     tags = [f"O={o}", f"I={i}", f"a={a}", f"b={b}"]
     fails = []
-    sums = {construct_sum(o, i, pa, pb, aux).result for aux in auxes}
+    sums = {construct_sum(chart, pa, pb, aux).result for aux in auxes}
     if len(sums) != 1:
         fails.append(_witness(tags, f"{len(sums)} distinct sums", "1"))
-    products = {construct_product(o, i, pa, pb, aux).result for aux in auxes}
+    products = {construct_product(chart, pa, pb, aux).result for aux in auxes}
     if len(products) != 1:
         fails.append(_witness(tags, f"{len(products)} distinct products", "1"))
     return fails

@@ -4,15 +4,19 @@ import functools
 import random
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
 from crossratio.fields import GaloisField, QuaternionField, RationalField
 
+# No shrink phase: shrinking a failure of the exact-arithmetic kernels can
+# take minutes per test, so a broken kernel would show as a timeout rather
+# than as a report.  A failure is reported with the example as generated.
 settings.register_profile(
     "suite",
     max_examples=60,
     deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
 settings.load_profile("suite")

@@ -400,6 +400,18 @@ def test_construct_svg_out_of_float_range(tmp_path, capsys, points):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("aux", [(), ("--aux=0,5",)], ids=["default-aux", "given-aux"])
+def test_construct_identical_base_points_exit_3_and_write_nothing(tmp_path, capsys, aux):
+    target = tmp_path / "figure.svg"
+    code, out, err = run_cli(
+        capsys, "construct", "add", "--field", "rational",
+        "--O=1,1", "--I=1,1", "--A=2,0", "--B=3,0", *aux, "--svg", str(target),
+    )
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------- desargues
 
 

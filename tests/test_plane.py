@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from conftest import FIELDS, GF5, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
 from crossratio.plane import (
     AuxiliaryPointError,
+    Chart,
     DegenerateConfigurationError,
     DesarguesConfig,
     GenerationFailureError,
@@ -23,7 +24,6 @@ from crossratio.plane import (
     collinear,
     construct_product,
     construct_sum,
-    coordinatize,
     default_aux,
     generate_desargues_config,
     intersect,
@@ -31,7 +31,6 @@ from crossratio.plane import (
     parallel,
     parallel_through,
     point,
-    point_at,
     validate_desargues_config,
 )
 from crossratio.fields import GaloisField
@@ -130,11 +129,30 @@ def test_three_noncollinear_points_exist(field):
 
 def test_coordinatize_examples():
     o, i = rp(0, 0), rp(1, 0)
-    assert coordinatize(o, i, o) == RATIONAL.zero
-    assert coordinatize(o, i, i) == RATIONAL.one
-    assert coordinatize(o, i, rp(5, 0)) == RATIONAL.element(5)
+    chart = Chart(o, i)
+    assert chart.coordinate(o) == RATIONAL.zero
+    assert chart.coordinate(i) == RATIONAL.one
+    assert chart.coordinate(rp(5, 0)) == RATIONAL.element(5)
     with pytest.raises(NotOnLineError):
-        coordinatize(o, i, rp(5, 1))
+        chart.coordinate(rp(5, 1))
+
+
+def test_chart_needs_distinct_base_points():
+    with pytest.raises(IdenticalPointsError):
+        Chart(rp(1, 2), rp(1, 2))
+
+
+@given(field_and_elements(5))
+def test_chart_coordinate_of_an_off_axis_point_is_refused(fx):
+    fld, (x1, y1, x2, y2, t) = fx
+    o, i = PlanePoint(x1, y1), PlanePoint(x2, y2)
+    assume(o != i)
+    chart = Chart(o, i)
+    on = chart.point_at(t)
+    # one step across the axis: sideways off a vertical axis, upwards off any other
+    step = (fld.one, fld.zero) if chart.axis.is_vertical else (fld.zero, fld.one)
+    with pytest.raises(NotOnLineError):
+        chart.coordinate(PlanePoint(on.x + step[0], on.y + step[1]))
 
 
 @given(field_and_elements(5))
@@ -142,57 +160,59 @@ def test_chart_round_trip(fx):
     fld, (x1, y1, x2, y2, t) = fx
     o, i = PlanePoint(x1, y1), PlanePoint(x2, y2)
     assume(o != i)
-    p = point_at(o, i, t)
-    assert line_through(o, i).contains(p)
-    assert coordinatize(o, i, p) == t
+    chart = Chart(o, i)
+    p = chart.point_at(t)
+    assert chart.axis.contains(p)
+    assert chart.coordinate(p) == t
 
 
 def test_chart_round_trip_on_vertical_axis():
-    o, i = rp(2, 0), rp(2, 1)
+    chart = Chart(rp(2, 0), rp(2, 1))
     t = RATIONAL.element(7)
-    p = point_at(o, i, t)
+    p = chart.point_at(t)
     assert p == rp(2, 7)
-    assert coordinatize(o, i, p) == t
+    assert chart.coordinate(p) == t
 
 
 # ---------------------------------------------------------------- constructions
 
 
 def test_geometric_add_example_trace():
-    o, i = rp(0, 0), rp(1, 0)
-    built = construct_sum(o, i, rp(2, 0), rp(3, 0), rp(0, 1))
+    chart = Chart(rp(0, 0), rp(1, 0))
+    built = construct_sum(chart, rp(2, 0), rp(3, 0), rp(0, 1))
     assert built.result == rp(5, 0)
-    assert coordinatize(o, i, built.result) == RATIONAL.element(5)
+    assert chart.coordinate(built.result) == RATIONAL.element(5)
     assert set(built.points) >= {"O", "I", "A", "B", "B1", "P1", "C"}
     assert len(built.lines) >= 3
 
 
 def test_geometric_mul_example_trace():
-    o, i = rp(0, 0), rp(1, 0)
-    built = construct_product(o, i, rp(2, 0), rp(3, 0), rp(0, 1))
+    chart = Chart(rp(0, 0), rp(1, 0))
+    built = construct_product(chart, rp(2, 0), rp(3, 0), rp(0, 1))
     assert built.result == rp(6, 0)
-    assert coordinatize(o, i, built.result) == RATIONAL.element(6)
+    assert chart.coordinate(built.result) == RATIONAL.element(6)
 
 
 def test_geometric_identities():
     o, i, aux = rp(0, 0), rp(1, 0), rp(0, 1)
+    chart = Chart(o, i)
     a, b = rp(7, 0), rp(3, 0)
-    assert construct_sum(o, i, a, o, aux).result == a  # adding zero
-    assert construct_product(o, i, i, b, aux).result == b  # multiplying by one
+    assert construct_sum(chart, a, o, aux).result == a  # adding zero
+    assert construct_product(chart, i, b, aux).result == b  # multiplying by one
 
 
 def test_aux_point_must_leave_the_axis():
-    o, i = rp(0, 0), rp(1, 0)
+    chart = Chart(rp(0, 0), rp(1, 0))
     with pytest.raises(AuxiliaryPointError):
-        construct_sum(o, i, rp(2, 0), rp(3, 0), rp(4, 0))
+        construct_sum(chart, rp(2, 0), rp(3, 0), rp(4, 0))
     with pytest.raises(AuxiliaryPointError):
-        construct_product(o, i, rp(2, 0), rp(3, 0), rp(4, 0))
+        construct_product(chart, rp(2, 0), rp(3, 0), rp(4, 0))
 
 
 def test_operands_must_sit_on_the_axis():
-    o, i = rp(0, 0), rp(1, 0)
+    chart = Chart(rp(0, 0), rp(1, 0))
     with pytest.raises(NotOnLineError):
-        construct_sum(o, i, rp(2, 1), rp(3, 0), rp(0, 1))
+        construct_sum(chart, rp(2, 1), rp(3, 0), rp(0, 1))
 
 
 def test_default_aux_is_valid(field):
@@ -201,55 +221,54 @@ def test_default_aux_is_valid(field):
         (PlanePoint(field.zero, field.zero), PlanePoint(field.zero, field.one)),
         (PlanePoint(field.one, field.one), PlanePoint(field.element(2), field.element(3))),
     ]:
-        aux = default_aux(o, i)
-        assert not line_through(o, i).contains(aux)
+        chart = Chart(o, i)
+        assert not chart.axis.contains(default_aux(chart))
 
 
 @given(field_and_elements(4))
 def test_construction_matches_field_arithmetic(fx):
     fld, (ta, tb, off, toff) = fx
-    o, i = PlanePoint(fld.zero, fld.zero), PlanePoint(fld.one, fld.zero)
-    a, b = point_at(o, i, ta), point_at(o, i, tb)
+    chart = Chart(PlanePoint(fld.zero, fld.zero), PlanePoint(fld.one, fld.zero))
+    a, b = chart.point_at(ta), chart.point_at(tb)
     aux = PlanePoint(toff, off + fld.one) if not (off + fld.one).is_zero else PlanePoint(toff, fld.one)
-    assume(not line_through(o, i).contains(aux))
-    assert coordinatize(o, i, construct_sum(o, i, a, b, aux).result) == ta + tb
-    assert coordinatize(o, i, construct_product(o, i, a, b, aux).result) == ta * tb
+    assume(not chart.axis.contains(aux))
+    assert chart.coordinate(construct_sum(chart, a, b, aux).result) == ta + tb
+    assert chart.coordinate(construct_product(chart, a, b, aux).result) == ta * tb
 
 
 def test_construction_on_slanted_axis():
     # O and I need not sit on the horizontal axis
-    o, i = rp(1, 1), rp(3, 2)
-    a, b = point_at(o, i, RATIONAL.element(4)), point_at(o, i, RATIONAL.element(-2))
-    aux = default_aux(o, i)
-    s = construct_sum(o, i, a, b, aux).result
-    m = construct_product(o, i, a, b, aux).result
-    assert coordinatize(o, i, s) == RATIONAL.element(2)
-    assert coordinatize(o, i, m) == RATIONAL.element(-8)
+    chart = Chart(rp(1, 1), rp(3, 2))
+    a, b = chart.point_at(RATIONAL.element(4)), chart.point_at(RATIONAL.element(-2))
+    aux = default_aux(chart)
+    s = construct_sum(chart, a, b, aux).result
+    m = construct_product(chart, a, b, aux).result
+    assert chart.coordinate(s) == RATIONAL.element(2)
+    assert chart.coordinate(m) == RATIONAL.element(-8)
 
 
 def test_quaternion_construction_agreement(rng):
     fld = QUATERNION
-    o, i = PlanePoint(fld.zero, fld.zero), PlanePoint(fld.one, fld.zero)
+    chart = Chart(PlanePoint(fld.zero, fld.zero), PlanePoint(fld.one, fld.zero))
     i_unit, j_unit = fld.element(I_Q), fld.element(J_Q)
-    a, b = point_at(o, i, i_unit), point_at(o, i, j_unit)
+    a, b = chart.point_at(i_unit), chart.point_at(j_unit)
     aux = PlanePoint(fld.zero, fld.one)
-    got = construct_product(o, i, a, b, aux).result
+    got = construct_product(chart, a, b, aux).result
     # the ruler construction realizes the product in left-to-right operand order
-    assert coordinatize(o, i, got) == i_unit * j_unit
+    assert chart.coordinate(got) == i_unit * j_unit
 
 
 def test_aux_independence_spot_check(field, rng):
-    o, i = PlanePoint(field.zero, field.zero), PlanePoint(field.one, field.zero)
-    a, b = point_at(o, i, field.element(2)), point_at(o, i, field.element(3))
-    axis = line_through(o, i)
+    chart = Chart(PlanePoint(field.zero, field.zero), PlanePoint(field.one, field.zero))
+    a, b = chart.point_at(field.element(2)), chart.point_at(field.element(3))
     auxes, attempts = [], 0
     while len(auxes) < 6 and attempts < 500:
         attempts += 1
         cand = PlanePoint(field.random_element(rng), field.random_element(rng))
-        if not axis.contains(cand) and cand not in auxes:
+        if not chart.axis.contains(cand) and cand not in auxes:
             auxes.append(cand)
-    sums = {construct_sum(o, i, a, b, aux).result for aux in auxes}
-    prods = {construct_product(o, i, a, b, aux).result for aux in auxes}
+    sums = {construct_sum(chart, a, b, aux).result for aux in auxes}
+    prods = {construct_product(chart, a, b, aux).result for aux in auxes}
     assert len(sums) == 1 and len(prods) == 1
 
 

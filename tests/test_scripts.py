@@ -76,3 +76,37 @@ def test_run_full_verification(tmp_path):
     for name in written:
         report = json.loads((tmp_path / "reports" / name).read_text())
         assert report["passed"] is True and report["samples"] == 2
+
+
+def assert_one_error_line(done):
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--fields", "gf:4"),
+        ("--fields", "gf:3"),
+        ("--samples", "0"),
+        # a bad name anywhere in the list stops the run before the first report
+        ("--fields", "rational", "gf:4", "--samples", "2"),
+    ],
+    ids=["non-prime", "too-small", "no-samples", "bad-second-field"],
+)
+def test_run_full_verification_bad_argument_exits_2_and_writes_nothing(tmp_path, argv):
+    done = run_script("run_full_verification.py", *argv, "--out-dir", "reports", cwd=tmp_path)
+    assert_one_error_line(done)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--field", "gf:4"), ("--samples", "0"), ("--field", "gf:3")],
+    ids=["non-prime", "no-samples", "too-small"],
+)
+def test_resolve_conjugation_form_bad_argument_exits_2(tmp_path, argv):
+    done = run_script("resolve_conjugation_form.py", *argv, cwd=tmp_path)
+    assert_one_error_line(done)
+    assert list(tmp_path.iterdir()) == []
