@@ -4,8 +4,9 @@
 Draws the three-step sum and product constructions over the rational
 plane and writes one SVG per operation.  Exit codes follow the CLI's: 0
 success, 2 an unparseable operand, 3 a figure that cannot be drawn (a
-coordinate out of float range).  Both figures are rendered before the
-output directory is created, so a failure writes nothing.
+coordinate out of float range), 5 a figure that cannot be written (say,
+--out-dir names an existing file).  Both figures are rendered before the
+output directory is created, so a failure to parse or draw writes nothing.
 """
 
 import argparse
@@ -52,12 +53,16 @@ def main() -> int:
         return 3
 
     out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for label, built, figure in figures:
-        target = out_dir / f"{label}.svg"
-        target.write_text(figure)
-        value = chart.coordinate(built.result)
-        print(f"{label}: C = {built.result} (coordinate {value}) -> {target}")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for label, built, figure in figures:
+            target = out_dir / f"{label}.svg"
+            target.write_text(figure)
+            value = chart.coordinate(built.result)
+            print(f"{label}: C = {built.result} (coordinate {value}) -> {target}")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

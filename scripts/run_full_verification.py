@@ -4,9 +4,12 @@
 Writes one JSON report per field and prints a per-check table.  Exit
 status: 0 every non-skipped check passed, 1 at least one failed somewhere,
 2 a bad argument (an unknown or non-prime field, a field too small to give
-some check any input, or fewer than one sample), reported as one `error:`
-line.  Every field name is resolved before anything is written, and the
-output directory is created only once the first report is complete.
+some check any input, or fewer than one sample), 5 a report that cannot be
+written (say, --out-dir names an existing file); 2 and 5 are reported as
+one `error:` line.  Every field name is resolved before anything is
+written, and the output directory is created only once the first report is
+complete.  A write failure stops the run and keeps the reports already
+written.
 """
 
 import argparse
@@ -36,6 +39,9 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 def run(args) -> int:

@@ -61,10 +61,8 @@ from .ratio import (
 )
 from .verify import (
     CHECKS,
-    CheckSpec,
     NoValidInputError,
     UnknownCheckError,
-    resolve_conjugation_form,
     run_check,
     run_suite,
 )

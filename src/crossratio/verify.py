@@ -71,21 +71,6 @@ class NoValidInputError(ValueError):
 
 
 @dataclass(frozen=True)
-class CheckSpec:
-    """One check run request: which identity, over which field, how hard."""
-
-    name: str
-    field: Field | str
-    samples: int
-    seed: int
-
-    def resolved_field(self) -> Field:
-        if isinstance(self.field, str):
-            return field_by_name(self.field)
-        return self.field
-
-
-@dataclass(frozen=True)
 class CheckDef:
     name: str
     description: str
@@ -94,9 +79,6 @@ class CheckDef:
     draw: Callable | None = None  # (field, rng) -> inputs tuple, or None to redraw
     evaluate: Callable | None = None  # (field, inputs) -> list of witness dicts
     enumerate_inputs: Callable[[Field], Iterator] | None = None
-    # (field, inputs) -> dict added to the record's "details": numbers are
-    # summed over the run, other values are kept as they are
-    details: Callable | None = None
 
 
 CHECKS: dict[str, CheckDef] = {}
@@ -196,38 +178,38 @@ def _record(check: CheckDef, strategy: str, reason: str | None = None) -> dict:
     return record
 
 
-def run_check(spec: CheckSpec, strategy: str = "auto") -> dict:
+def run_check(
+    name: str, field: Field | str, samples: int, seed: int, strategy: str = "auto"
+) -> dict:
     """Run one named check; strategy is auto, sampled, or exhaustive.
 
-    Auto enumerates every valid tuple when the check has an enumerator and
-    the field is a prime field of modulus at most EXHAUSTIVE_MAX_MODULUS,
-    and samples otherwise.  An equality check counts every failing sample
-    and keeps up to WITNESS_CAP witnesses; a witness-search check stops at
-    its first witness and passes only if it found one.
+    The field is a Field or a selector such as "gf:5".  Auto enumerates
+    every valid tuple when the check has an enumerator and the field is a
+    prime field of modulus at most EXHAUSTIVE_MAX_MODULUS, and samples
+    otherwise.  An equality check counts every failing sample and keeps up
+    to WITNESS_CAP witnesses; a witness-search check stops at its first
+    witness and passes only if it found one.
     """
-    if spec.name not in CHECKS:
-        raise UnknownCheckError(f"unknown check: {spec.name!r}")
-    if spec.samples < 1:
+    if name not in CHECKS:
+        raise UnknownCheckError(f"unknown check: {name!r}")
+    if samples < 1:
         raise ValueError("samples must be >= 1")
-    check = CHECKS[spec.name]
-    field = spec.resolved_field()
+    check = CHECKS[name]
+    if isinstance(field, str):
+        field = field_by_name(field)
     if strategy == "exhaustive" and not _can_enumerate(check, field):
-        raise ValueError(f"{spec.name} cannot run exhaustively over {field}")
+        raise ValueError(f"{name} cannot run exhaustively over {field}")
     if strategy == "exhaustive" or (strategy == "auto" and _can_enumerate(check, field)):
         record = _record(check, "exhaustive")
         tuples = zip(check.enumerate_inputs(field), itertools.repeat(0))
     else:
         record = _record(check, "sampled")
-        tuples = map(functools.partial(_draw_valid, check, field, spec.seed), range(spec.samples))
+        tuples = map(functools.partial(_draw_valid, check, field, seed), range(samples))
     search = check.kind == "witness-search"
-    details = {}
     for inputs, redraws in tuples:
         record["redraws"] += redraws
         record["samples_run"] += 1
         found = check.evaluate(field, inputs)
-        if check.details is not None:
-            for key, value in check.details(field, inputs).items():
-                details[key] = details.get(key, 0) + value if isinstance(value, int) else value
         if not search:
             record["failures"] += len(found)
             record["witnesses"] += found[: WITNESS_CAP - len(record["witnesses"])]
@@ -239,8 +221,6 @@ def run_check(spec: CheckSpec, strategy: str = "auto") -> dict:
             f"{check.name}: no input tuple over {field} meets its preconditions"
         )
     record["passed"] = bool(record["witnesses"]) if search else record["failures"] == 0
-    if check.details is not None:
-        record["details"] = details
     return record
 
 
@@ -252,7 +232,7 @@ def run_suite(field: Field | str, seed: int, samples: int = 1000) -> dict:
     for check in CHECKS.values():
         ok, reason = applicable(check, field)
         if ok:
-            records.append(run_check(CheckSpec(check.name, field, samples, seed)))
+            records.append(run_check(check.name, field, samples, seed))
         else:
             records.append(_record(check, "none", reason))
     return {
@@ -552,23 +532,10 @@ def _eval_cr_permutation_trio(field, xs):
     ]
 
 
-def _conjugation_details(field, xs):
-    # Counts for the pinned form and its competitor, the argument order that
-    # swaps B and C; resolve_conjugation_form reads them.
-    a, b, c, d = xs
-    lhs = cross_ratio(a.inv(), b.inv(), c.inv(), d.inv())
-    return {
-        "pinned_form": "A * cr(A,B;C,D) * A^-1",
-        "form_abcd_matches": lhs == a * cross_ratio(a, b, c, d).value * a.inv(),
-        "form_acbd_matches": lhs == a * cross_ratio(a, c, b, d).value * a.inv(),
-    }
-
-
 @_check(
     "cr_inverse_points_conjugation",
     "inverting all points conjugates the cross-ratio by A",
     draw=_tuples(4, nonzero=True, distinct=True)["draw"],
-    details=_conjugation_details,
 )
 def _eval_cr_inverse_points_conjugation(field, xs):
     a, b, c, d = xs
@@ -890,36 +857,3 @@ def _eval_desargues(field, inputs):
         if not check_desargues(cfg):
             fails.append(_witness(tags + [cfg.canonical()], "sides not parallel", "parallel"))
     return fails
-
-
-def resolve_conjugation_form(seed: int, samples: int, field: Field | None = None) -> dict:
-    """Decide which conjugated cross-ratio form the inverse-points law obeys.
-
-    Competing candidates for cr(A^-1,B^-1;C^-1,D^-1) are A*X*A^-1 with
-    X = cr(A,B;C,D) (form_abcd) or X = cr(A,C;B,D) (form_acbd).  Returns
-    match counts for both and the name of the unique full matcher.  The
-    candidates are distinct argument permutations, so they stay apart even
-    over a commutative field where the conjugation itself is trivial.
-    The counts are the details of the cr_inverse_points_conjugation check,
-    run on its own seeded draws.
-    """
-    field = field if field is not None else QuaternionField()
-    spec = CheckSpec("cr_inverse_points_conjugation", field, samples, seed)
-    details = run_check(spec)["details"]
-    form_abcd, form_acbd = details["form_abcd_matches"], details["form_acbd_matches"]
-    if form_abcd == samples and form_acbd == samples:
-        resolved = "both"
-    elif form_abcd == samples:
-        resolved = "form_abcd"
-    elif form_acbd == samples:
-        resolved = "form_acbd"
-    else:
-        resolved = "neither"
-    return {
-        "field": field.name,
-        "seed": seed,
-        "samples": samples,
-        "form_abcd_matches": form_abcd,
-        "form_acbd_matches": form_acbd,
-        "resolved": resolved,
-    }

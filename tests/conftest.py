@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
+from crossratio import verify
 from crossratio.fields import GaloisField, QuaternionField, RationalField
+from crossratio.ratio import cross_ratio
 
 # No shrink phase: shrinking a failure of the exact-arithmetic kernels can
 # take minutes per test, so a broken kernel would show as a timeout rather
@@ -70,6 +72,25 @@ def field_and_elements(draw, n, nonzero=False, distinct=False, fields=FIELDS):
         )
     )
     return fld, xs
+
+
+def swapped_inverse_form_matches(field, seed, samples):
+    """How many of cr_inverse_points_conjugation's own draws the swapped order fits.
+
+    The swapped order A * c(A,C;B,D) * A^-1 is A * (1 - X) * A^-1 with
+    X = c(A,B;C,D), by the complement law, so against the inverse-points law
+    A * X * A^-1 it can match exactly when X = 1/2; each draw asserts that.
+    """
+    check = verify.CHECKS["cr_inverse_points_conjugation"]
+    half = (field.one + field.one).inv()
+    matches = 0
+    for index in range(samples):
+        (a, b, c, d), _ = verify._draw_valid(check, field, seed, index)
+        lhs = cross_ratio(a.inv(), b.inv(), c.inv(), d.inv())
+        swapped = lhs == a * cross_ratio(a, c, b, d).value * a.inv()
+        assert swapped == (cross_ratio(a, b, c, d) == half), (field.name, seed, index)
+        matches += swapped
+    return matches
 
 
 # one line per acceptance criterion, echoed after the run so a scan of the

@@ -20,6 +20,12 @@ def run_script(name, *argv, cwd):
     )
 
 
+def assert_one_error_line(done, code=2):
+    assert done.returncode == code
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+
+
 def test_draw_construction(tmp_path):
     done = run_script("draw_construction.py", "--a", "1/2", "--b", "3", "--out-dir", "figs", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
@@ -35,9 +41,7 @@ def test_draw_construction(tmp_path):
 @pytest.mark.parametrize("literal", ["x", "1/0"])
 def test_draw_construction_bad_literal_exits_2(tmp_path, literal):
     done = run_script("draw_construction.py", "--a", literal, "--out-dir", "figs", cwd=tmp_path)
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert_one_error_line(done)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -52,17 +56,16 @@ def test_draw_construction_bad_literal_exits_2(tmp_path, literal):
 def test_draw_construction_out_of_float_range_exits_3_and_writes_nothing(tmp_path, operands):
     a, b = operands
     done = run_script("draw_construction.py", "--a", a, "--b", b, "--out-dir", "figs", cwd=tmp_path)
-    assert done.returncode == 3
-    assert done.stdout == ""
-    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert_one_error_line(done, 3)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_resolve_conjugation_form(tmp_path):
-    done = run_script("resolve_conjugation_form.py", "--samples", "20", cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert "surviving form: form_abcd" in done.stdout
-    assert list(tmp_path.iterdir()) == []
+def test_draw_construction_out_dir_is_a_file_exits_5(tmp_path):
+    (tmp_path / "afile").write_text("")
+    done = run_script("draw_construction.py", "--out-dir", "afile", cwd=tmp_path)
+    assert_one_error_line(done, 5)
+    assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_run_full_verification(tmp_path):
@@ -76,12 +79,6 @@ def test_run_full_verification(tmp_path):
     for name in written:
         report = json.loads((tmp_path / "reports" / name).read_text())
         assert report["passed"] is True and report["samples"] == 2
-
-
-def assert_one_error_line(done):
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -101,12 +98,25 @@ def test_run_full_verification_bad_argument_exits_2_and_writes_nothing(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("--field", "gf:4"), ("--samples", "0"), ("--field", "gf:3")],
-    ids=["non-prime", "no-samples", "too-small"],
-)
-def test_resolve_conjugation_form_bad_argument_exits_2(tmp_path, argv):
-    done = run_script("resolve_conjugation_form.py", *argv, cwd=tmp_path)
-    assert_one_error_line(done)
-    assert list(tmp_path.iterdir()) == []
+def test_run_full_verification_out_dir_is_a_file_exits_5(tmp_path):
+    (tmp_path / "afile").write_text("")
+    done = run_script(
+        "run_full_verification.py", "--fields", "gf:5", "--samples", "2", "--out-dir", "afile",
+        cwd=tmp_path,
+    )
+    assert_one_error_line(done, 5)
+    assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+    assert (tmp_path / "afile").read_text() == ""
+
+
+def test_run_full_verification_write_failure_keeps_earlier_reports(tmp_path):
+    (tmp_path / "reports" / "gf_5.json").mkdir(parents=True)
+    done = run_script(
+        "run_full_verification.py", "--fields", "rational", "gf:5", "--samples", "2",
+        "--out-dir", "reports", cwd=tmp_path,
+    )
+    assert done.returncode == 5
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert "== gf:5" not in done.stdout
+    report = json.loads((tmp_path / "reports" / "rational.json").read_text())
+    assert report["passed"] is True and report["samples"] == 2

@@ -6,16 +6,14 @@ import random
 
 import pytest
 
-from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL
+from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, swapped_inverse_form_matches
 from crossratio import ratio, verify
 from crossratio.verify import (
     CHECKS,
     CheckDef,
-    CheckSpec,
     UnknownCheckError,
     WITNESS_CAP,
     applicable,
-    resolve_conjugation_form,
     run_check,
     run_suite,
 )
@@ -42,30 +40,30 @@ def strip_timestamp(report):
 
 def test_unknown_check_rejected():
     with pytest.raises(UnknownCheckError):
-        run_check(CheckSpec("no_such_check", "rational", 10, 0))
+        run_check("no_such_check", "rational", 10, 0)
 
 
 def test_invalid_sample_count_rejected():
     with pytest.raises(ValueError):
-        run_check(CheckSpec("field_axioms", "rational", 0, 0))
+        run_check("field_axioms", "rational", 0, 0)
 
 
 def test_run_check_record_shape():
-    rec = run_check(CheckSpec("cr_inverse_swap", "rational", 25, 4))
-    assert RECORD_KEYS <= set(rec)
+    rec = run_check("cr_inverse_swap", "rational", 25, 4)
+    assert set(rec) == RECORD_KEYS
     assert rec["passed"] and rec["failures"] == 0 and rec["witnesses"] == []
     assert rec["samples_run"] == 25
     assert rec["strategy"] == "sampled"
 
 
 def test_run_check_is_deterministic():
-    spec = CheckSpec("cr_complement", "quaternion", 30, 99)
-    assert run_check(spec) == run_check(spec)
+    args = ("cr_complement", "quaternion", 30, 99)
+    assert run_check(*args) == run_check(*args)
 
 
 def test_field_accepts_instance_or_selector():
-    by_name = run_check(CheckSpec("ratio2_laws", "gf:101", 20, 1))
-    by_instance = run_check(CheckSpec("ratio2_laws", GF101, 20, 1))
+    by_name = run_check("ratio2_laws", "gf:101", 20, 1)
+    by_instance = run_check("ratio2_laws", GF101, 20, 1)
     assert by_name == by_instance
 
 
@@ -73,7 +71,7 @@ def test_field_accepts_instance_or_selector():
 
 
 def test_small_prime_fields_enumerate_exhaustively():
-    rec = run_check(CheckSpec("cr_inverse_swap", "gf:5", 1000, 0))
+    rec = run_check("cr_inverse_swap", "gf:5", 1000, 0)
     assert rec["strategy"] == "exhaustive"
     assert rec["samples_run"] == 5 * 4 * 3 * 2  # ordered distinct 4-tuples
     assert rec["passed"]
@@ -90,16 +88,16 @@ def test_sampled_and_exhaustive_agree_on_gf5():
         "cr_commutative_symmetry",
     ]
     for name in names:
-        sampled = run_check(CheckSpec(name, "gf:5", 300, 8), strategy="sampled")
-        full = run_check(CheckSpec(name, "gf:5", 300, 8), strategy="exhaustive")
+        sampled = run_check(name, "gf:5", 300, 8, strategy="sampled")
+        full = run_check(name, "gf:5", 300, 8, strategy="exhaustive")
         assert sampled["passed"] == full["passed"] is True, name
 
 
 def test_exhaustive_strategy_needs_enumerable_field():
     with pytest.raises(ValueError):
-        run_check(CheckSpec("cr_inverse_swap", "rational", 10, 0), strategy="exhaustive")
+        run_check("cr_inverse_swap", "rational", 10, 0, strategy="exhaustive")
     with pytest.raises(ValueError):
-        run_check(CheckSpec("cr_inverse_swap", "gf:101", 10, 0), strategy="exhaustive")
+        run_check("cr_inverse_swap", "gf:101", 10, 0, strategy="exhaustive")
 
 
 @pytest.mark.parametrize(
@@ -112,7 +110,7 @@ def test_exhaustive_strategy_needs_enumerable_field():
 )
 def test_exhaustive_strategy_needs_an_enumerator(name):
     with pytest.raises(ValueError):
-        run_check(CheckSpec(name, "gf:5", 10, 0), strategy="exhaustive")
+        run_check(name, "gf:5", 10, 0, strategy="exhaustive")
 
 
 ENUMERABLE = [name for name, check in CHECKS.items() if check.enumerate_inputs is not None]
@@ -142,7 +140,7 @@ def test_draw_and_enumerator_cover_the_same_domain(name, field):
 )
 def test_check_without_valid_inputs_is_an_error(name, strategy):
     with pytest.raises(ValueError) as exc:
-        run_check(CheckSpec(name, "gf:3", 10, 0), strategy=strategy)
+        run_check(name, "gf:3", 10, 0, strategy=strategy)
     assert exc.type is verify.NoValidInputError
 
 
@@ -150,14 +148,14 @@ def test_check_without_valid_inputs_is_an_error(name, strategy):
 
 
 def test_noncommutativity_witness_absent_over_rationals():
-    rec = run_check(CheckSpec("cr_noncommutativity_witness", "rational", 100, 2))
+    rec = run_check("cr_noncommutativity_witness", "rational", 100, 2)
     assert rec["kind"] == "witness-search"
     assert rec["passed"] is False  # no witness can exist
     assert rec["samples_run"] == 100
 
 
 def test_noncommutativity_witness_found_over_quaternions():
-    rec = run_check(CheckSpec("cr_noncommutativity_witness", "quaternion", 100, 2))
+    rec = run_check("cr_noncommutativity_witness", "quaternion", 100, 2)
     assert rec["passed"] is True
     assert rec["samples_run"] <= 100
     wit = rec["witnesses"][0]
@@ -179,7 +177,7 @@ def test_failing_check_reports_capped_witnesses():
         ],
     )
     try:
-        rec = run_check(CheckSpec(name, "rational", 40, 0))
+        rec = run_check(name, "rational", 40, 0)
         assert rec["passed"] is False
         assert rec["failures"] == 40
         assert len(rec["witnesses"]) == WITNESS_CAP
@@ -203,11 +201,13 @@ def test_suite_shape_and_skips():
         assert by_name[skip_name]["reason"]
         assert by_name[skip_name]["passed"] is None
     assert by_name["norm_multiplicativity"]["skipped"] is False
-    # the pinned conjugation form is part of the suite report
-    details = by_name["cr_inverse_points_conjugation"]["details"]
-    assert details["pinned_form"] == "A * cr(A,B;C,D) * A^-1"
-    assert details["form_abcd_matches"] == 8
-    assert details["form_acbd_matches"] == 0
+
+
+@pytest.mark.parametrize("field", ["rational", "gf:5", "quaternion"])
+def test_suite_records_have_exactly_the_record_keys(field):
+    for rec in run_suite(field, seed=5, samples=4)["checks"]:
+        expected = RECORD_KEYS | {"reason"} if rec["skipped"] else RECORD_KEYS
+        assert set(rec) == expected, rec["name"]
 
 
 def test_suite_skips_on_commutative_fields():
@@ -243,28 +243,22 @@ def test_applicability_matrix():
     assert ok and reason is None
 
 
-# ---------------------------------------------------------------- conjugation resolver
+# ---------------------------------------------------------------- inverse-points law
 
 
-def test_conjugation_resolver_pins_the_statement_form():
-    out = resolve_conjugation_form(seed=17, samples=60)
-    assert out["field"] == "quaternion"
-    assert out["form_abcd_matches"] == 60
-    assert out["form_acbd_matches"] < 60
-    assert out["resolved"] == "form_abcd"
-
-
-def test_conjugation_resolver_same_answer_over_commutative_fields():
-    # conjugation is trivial over a field, but the two candidate forms are
-    # different argument permutations, so only one can match there too
-    out = resolve_conjugation_form(seed=17, samples=40, field=RATIONAL)
-    assert out["form_abcd_matches"] == 40
-    assert out["form_acbd_matches"] == 0
-    assert out["resolved"] == "form_abcd"
+@pytest.mark.parametrize(
+    "field, samples, matches",
+    [(GF101, 1000, 8), (RATIONAL, 200, 0)],
+    ids=["gf:101", "rational"],
+)
+def test_swapped_inverse_points_form_matches_iff_half(field, samples, matches):
+    # the helper asserts the iff per draw; over gf:101 the draws reach
+    # X = 1/2, so both of its branches are taken
+    assert swapped_inverse_form_matches(field, 20260816, samples) == matches
 
 
 def test_conjugation_collapses_for_central_first_point():
-    rec = run_check(CheckSpec("cr_central_collapse", "quaternion", 50, 3))
+    rec = run_check("cr_central_collapse", "quaternion", 50, 3)
     assert rec["passed"]
 
 
@@ -280,18 +274,29 @@ def report_digest(field, seed, samples):
     return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "field, seed, samples, digest",
-    [
-        ("rational", 7, 25, "b672140e3776c390b96bb7be50fcea01f9f12d06b9a3ef6f1af9859f660fa119"),
-        ("gf:5", 7, 25, "901b354c15c60b952a7478a2bd57775f34e5b94f8587e74a5f407959bbb242a4"),
-        ("gf:7", 7, 25, "bb0d093e9cac7069476f385a9b33742b95c8cec36cc79371ceb1438f6b604434"),
-        ("gf:101", 7, 25, "86429dbcef892fcf9d59c4e3144cb8affd15de914ab889f781c072e2772cedea"),
-        ("quaternion", 7, 5, "9f6fda2f251e5ae8a393699d4575042383985947cfafc3833b02343b12fc3ec4"),
-    ],
-)
-def test_passing_report_bytes_are_pinned(field, seed, samples, digest):
-    assert report_digest(field, seed, samples) == digest
+# Test ids name the (field, seed, samples) case, not its digest, so a
+# re-taken digest does not rename the test.
+PASSING_DIGESTS = {
+    ("rational", 7, 25): "be241c3c6d7a6214fa65d68231031f2e9b3ff236b1f57a7dfef2486d3db30ae0",
+    ("gf:5", 7, 25): "85e600a161e7973c30582734af146a9205a9de1637622e0868e8753e2086d8ca",
+    ("gf:7", 7, 25): "13e2d755e020eef43b1ef69cf46f67f86a9e1b908acd6ea273d7d7999ec1bcea",
+    ("gf:101", 7, 25): "38767ee2108c9c0653ac4f27f0b4a1db9efa4a3285b9c915066d784a1c27d19f",
+    ("quaternion", 7, 5): "620a5f57e65f1fe2b53311f79c24eff65a6fad8f450ff0787b1e1dcb24d3fa40",
+}
+
+FAILING_DIGESTS = {
+    ("rational", 7, 12): "d87dd11b3c1cb4b66555e458dedbc2026bfb2661ca74a98f1615cead03e46555",
+    ("quaternion", 7, 4): "ccabfd0b748fce539d94f77af3e303994b548d98a58eadbffe22b34ac5b36549",
+}
+
+
+def case_id(case):
+    return "-".join(map(str, case))
+
+
+@pytest.mark.parametrize("case", PASSING_DIGESTS, ids=case_id)
+def test_passing_report_bytes_are_pinned(case):
+    assert report_digest(*case) == PASSING_DIGESTS[case]
 
 
 @pytest.fixture
@@ -302,12 +307,6 @@ def broken_ratios(monkeypatch):
     monkeypatch.setattr(verify, "ratio3", lambda *args: ratio.ratio3(*args) + args[0].field.one)
 
 
-@pytest.mark.parametrize(
-    "field, seed, samples, digest",
-    [
-        ("rational", 7, 12, "6024d4097e24b3c8961a765d1bd39b473ea75b32ebd696b910995a3001306e0a"),
-        ("quaternion", 7, 4, "4ba08646bbc63d6e56b09d3e6041ed649abca169a6b11745131d5374d306b0f8"),
-    ],
-)
-def test_failing_report_bytes_are_pinned(broken_ratios, field, seed, samples, digest):
-    assert report_digest(field, seed, samples) == digest
+@pytest.mark.parametrize("case", FAILING_DIGESTS, ids=case_id)
+def test_failing_report_bytes_are_pinned(broken_ratios, case):
+    assert report_digest(*case) == FAILING_DIGESTS[case]
