@@ -19,8 +19,7 @@ from crossratio.fields import RationalField
 from crossratio.plane import (
     Chart,
     DegenerateConfigurationError,
-    construct_product,
-    construct_sum,
+    construct_sum_and_product,
     point,
 )
 from crossratio.svg import render_construction
@@ -43,11 +42,9 @@ def main() -> int:
     chart = Chart(point(field, 0, 0), point(field, 1, 0))
     aux = point(field, 0, 1)
 
-    figures = []
     try:
-        for label, builder in (("sum", construct_sum), ("product", construct_product)):
-            built = builder(chart, a, b, aux)
-            figures.append((label, built, render_construction(built)))
+        both = construct_sum_and_product(chart, a, b, aux)
+        figures = [(label, built, render_construction(built)) for label, built in zip(("sum", "product"), both)]
     except DegenerateConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -38,7 +38,9 @@ from .plane import (
     collinear,
     construct_product,
     construct_sum,
+    construct_sum_and_product,
     default_aux,
+    desargues_conclusion,
     generate_desargues_config,
     intersect,
     line_through,

@@ -27,6 +27,42 @@ from fractions import Fraction
 RANDOM_COEFF_BOUND = 1000
 
 
+def _randbelow(getrandbits, n: int, k: int) -> int:
+    """rng.randrange(n) for n > 0 with k = n.bit_length(), bit for bit.
+
+    random.Random.randrange(start, stop) is start + _randbelow(stop - start),
+    and _randbelow rejects k-bit getrandbits draws until one is below n, the
+    same loop on Python 3.10 to 3.13.  Calling the loop directly skips the
+    argument checks, so a draw returns the same value and leaves the
+    generator in the same state.
+    """
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+# randint(-bound, bound) and randint(1, bound): widths and their bit lengths
+_NUMERATOR_WIDTH = 2 * RANDOM_COEFF_BOUND + 1
+_NUMERATOR_BITS = _NUMERATOR_WIDTH.bit_length()
+_DENOMINATOR_BITS = RANDOM_COEFF_BOUND.bit_length()
+
+
+def _random_fraction_terms(getrandbits) -> tuple[int, int]:
+    """(rng.randint(-bound, bound), rng.randint(1, bound)), drawn in that order.
+
+    The two _randbelow loops are written out: a quaternion draw runs them
+    four times, and the calls alone would double its cost.
+    """
+    r = getrandbits(_NUMERATOR_BITS)
+    while r >= _NUMERATOR_WIDTH:
+        r = getrandbits(_NUMERATOR_BITS)
+    s = getrandbits(_DENOMINATOR_BITS)
+    while s >= RANDOM_COEFF_BOUND:
+        s = getrandbits(_DENOMINATOR_BITS)
+    return r - RANDOM_COEFF_BOUND, s + 1
+
+
 class FieldMismatchError(ValueError):
     """Binary operation applied to elements of unequal fields."""
 
@@ -174,10 +210,7 @@ class RationalField(Field):
         return 1 / a
 
     def _random(self, rng):
-        return Fraction(
-            rng.randint(-RANDOM_COEFF_BOUND, RANDOM_COEFF_BOUND),
-            rng.randint(1, RANDOM_COEFF_BOUND),
-        )
+        return Fraction(*_random_fraction_terms(rng.getrandbits))
 
     def _format(self, a):
         return str(a)
@@ -259,7 +292,7 @@ class GaloisField(Field):
         return pow(a, -1, self.p)
 
     def _random(self, rng):
-        return rng.randrange(self.p)
+        return _randbelow(rng.getrandbits, self.p, self.p.bit_length())
 
     def _format(self, a):
         return str(a)
@@ -385,10 +418,8 @@ class QuaternionField(Field):
     def _random(self, rng):
         # Four RationalField draws, numerator then denominator each, put
         # over the common denominator n0*n1*n2*n3.
-        bound = RANDOM_COEFF_BOUND
-        (a, n0), (b, n1), (c, n2), (d, n3) = [
-            (rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(4)
-        ]
+        getrandbits = rng.getrandbits
+        (a, n0), (b, n1), (c, n2), (d, n3) = [_random_fraction_terms(getrandbits) for _ in range(4)]
         return _reduced(
             a * n1 * n2 * n3, b * n0 * n2 * n3, c * n0 * n1 * n3, d * n0 * n1 * n2, n0 * n1 * n2 * n3
         )

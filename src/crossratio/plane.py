@@ -8,9 +8,13 @@ fixes an axis line with base points O (zero) and I (one); it builds the
 axis once and maps coordinates to axis points and back.  On a chart, the
 classical ruler constructions add and multiply axis points using only
 parallels and intersections, and the results agree with the field
-arithmetic of the coordinates.  The module also ships a checker and a
-seeded generator for Desargues configurations (two triangles in parallel
-or central perspective with two pairs of parallel sides).
+arithmetic of the coordinates.  construct_sum_and_product builds both on
+one auxiliary point, checking the operands and drawing the lines O-aux and
+B-aux once.  The module also ships a checker and a seeded generator for
+Desargues configurations (two triangles in parallel or central perspective
+with two pairs of parallel sides).  desargues_conclusion tests only the
+conclusion, for a configuration already validated, such as one the
+generator returns; check_desargues validates first.
 """
 
 from __future__ import annotations
@@ -219,12 +223,14 @@ def _meet(l1: PlaneLine, l2: PlaneLine, stage: str) -> PlanePoint:
     return got
 
 
-def _ruler(kind: str, chart: Chart, a, b, aux) -> Construction:
-    """The sum ("add") or product ("mul") construction on a chart.
+def _ruler(chart: Chart, a, b, aux, kinds: tuple[str, ...]) -> tuple[Construction, ...]:
+    """The sum ("add") and/or product ("mul") constructions on one chart.
 
-    The operands are checked against the axis before any line is drawn.
-    P1 is where the parallel to the guide line through A meets the target
-    line; the two constructions differ only in those two lines.
+    The operands are checked against the axis once, before any line is
+    drawn, and the lines O-B1 and B-B1 are drawn once for every kind: a
+    trace of each kind holds the same two line objects.  P1 is where the
+    parallel to the guide line through A meets the target line; the two
+    constructions differ only in those two lines.
     """
     axis = chart.axis
     if not axis.contains(a):
@@ -234,31 +240,36 @@ def _ruler(kind: str, chart: Chart, a, b, aux) -> Construction:
     if axis.contains(aux):
         raise AuxiliaryPointError("the auxiliary point must not lie on the axis")
     o_aux = ("O-B1", line_through(chart.o, aux))
-    if kind == "add":
-        result_name = "sum"
-        guide, target = o_aux, ("axis parallel through B1", parallel_through(axis, aux))
-    else:
-        result_name = "product"
-        guide, target = ("I-B1", line_through(chart.i, aux)), o_aux
-    guide_label, guide_line = guide
-    through_a = parallel_through(guide_line, a)
-    p1 = _meet(through_a, target[1], "locating P1")
     transfer = line_through(b, aux)
-    through_p1 = parallel_through(transfer, p1)
-    c = _meet(through_p1, axis, f"locating the {result_name}")
-    return Construction(
-        kind=kind,
-        points={"O": chart.o, "I": chart.i, "A": a, "B": b, "B1": aux, "P1": p1, "C": c},
-        lines=[
-            ("axis", axis),
-            guide,
-            target,
-            (f"{guide_label} parallel through A", through_a),
-            ("B-B1", transfer),
-            ("B-B1 parallel through P1", through_p1),
-        ],
-        result=c,
-    )
+    built = []
+    for kind in kinds:
+        if kind == "add":
+            result_name = "sum"
+            guide, target = o_aux, ("axis parallel through B1", parallel_through(axis, aux))
+        else:
+            result_name = "product"
+            guide, target = ("I-B1", line_through(chart.i, aux)), o_aux
+        guide_label, guide_line = guide
+        through_a = parallel_through(guide_line, a)
+        p1 = _meet(through_a, target[1], "locating P1")
+        through_p1 = parallel_through(transfer, p1)
+        c = _meet(through_p1, axis, f"locating the {result_name}")
+        built.append(
+            Construction(
+                kind=kind,
+                points={"O": chart.o, "I": chart.i, "A": a, "B": b, "B1": aux, "P1": p1, "C": c},
+                lines=[
+                    ("axis", axis),
+                    guide,
+                    target,
+                    (f"{guide_label} parallel through A", through_a),
+                    ("B-B1", transfer),
+                    ("B-B1 parallel through P1", through_p1),
+                ],
+                result=c,
+            )
+        )
+    return tuple(built)
 
 
 def construct_sum(chart: Chart, a, b, aux) -> Construction:
@@ -268,7 +279,7 @@ def construct_sum(chart: Chart, a, b, aux) -> Construction:
     point with the parallel to line O-aux through A; the result C is where
     the parallel to line B-aux through P1 meets the axis again.
     """
-    return _ruler("add", chart, a, b, aux)
+    return _ruler(chart, a, b, aux, ("add",))[0]
 
 
 def construct_product(chart: Chart, a, b, aux) -> Construction:
@@ -278,7 +289,17 @@ def construct_product(chart: Chart, a, b, aux) -> Construction:
     with line O-aux; the result C is where the parallel to line B-aux
     through P1 meets the axis.
     """
-    return _ruler("mul", chart, a, b, aux)
+    return _ruler(chart, a, b, aux, ("mul",))[0]
+
+
+def construct_sum_and_product(chart: Chart, a, b, aux) -> tuple[Construction, Construction]:
+    """Both ruler constructions on one auxiliary point, as (sum, product).
+
+    Each trace equals what construct_sum and construct_product return, but
+    the operands are checked once and the lines O-B1 and B-B1 are drawn
+    once, so both traces hold the same two line objects.
+    """
+    return _ruler(chart, a, b, aux, ("add", "mul"))
 
 
 def default_aux(chart: Chart) -> PlanePoint:
@@ -362,10 +383,15 @@ def validate_desargues_config(cfg: DesarguesConfig) -> None:
         fail("sides BC and B'C' must be distinct lines")
 
 
+def desargues_conclusion(cfg: DesarguesConfig) -> bool:
+    """Whether the conclusion AC parallel to A'C' holds; hypotheses unchecked."""
+    return parallel(line_through(cfg.a, cfg.c), line_through(cfg.a_prime, cfg.c_prime))
+
+
 def check_desargues(cfg: DesarguesConfig) -> bool:
     """Validate the hypotheses, then test the conclusion AC parallel to A'C'."""
     validate_desargues_config(cfg)
-    return parallel(line_through(cfg.a, cfg.c), line_through(cfg.a_prime, cfg.c_prime))
+    return desargues_conclusion(cfg)
 
 
 def random_point(field: Field, rng: random.Random) -> PlanePoint:

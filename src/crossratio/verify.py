@@ -36,9 +36,10 @@ from .fields import (
 from .plane import (
     Chart,
     GenerationFailureError,
-    check_desargues,
     construct_product,
     construct_sum,
+    construct_sum_and_product,
+    desargues_conclusion,
     generate_desargues_config,
     intersect,
     line_through,
@@ -194,6 +195,8 @@ def run_check(
         raise UnknownCheckError(f"unknown check: {name!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if strategy not in ("auto", "sampled", "exhaustive"):
+        raise ValueError(f"unknown strategy {strategy!r}: expected auto, sampled or exhaustive")
     check = CHECKS[name]
     if isinstance(field, str):
         field = field_by_name(field)
@@ -826,10 +829,13 @@ def _eval_aux_independence(field, inputs):
     pa, pb = chart.point_at(a), chart.point_at(b)
     tags = [f"O={o}", f"I={i}", f"a={a}", f"b={b}"]
     fails = []
-    sums = {construct_sum(chart, pa, pb, aux).result for aux in auxes}
+    sums, products = set(), set()
+    for aux in auxes:
+        built_sum, built_product = construct_sum_and_product(chart, pa, pb, aux)
+        sums.add(built_sum.result)
+        products.add(built_product.result)
     if len(sums) != 1:
         fails.append(_witness(tags, f"{len(sums)} distinct sums", "1"))
-    products = {construct_product(chart, pa, pb, aux).result for aux in auxes}
     if len(products) != 1:
         fails.append(_witness(tags, f"{len(products)} distinct products", "1"))
     return fails
@@ -854,6 +860,7 @@ def _eval_desargues(field, inputs):
         except GenerationFailureError as exc:
             fails.append(_witness(tags, str(exc), "a valid configuration"))
             continue
-        if not check_desargues(cfg):
+        # the generator returns only configurations it has validated
+        if not desargues_conclusion(cfg):
             fails.append(_witness(tags + [cfg.canonical()], "sides not parallel", "parallel"))
     return fails

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
 from crossratio.fields import (
+    RANDOM_COEFF_BOUND,
     DivisionByZeroError,
     FieldMismatchError,
     GaloisField,
     QuaternionField,
     _is_prime,
+    _randbelow,
     commutes,
     conjugate_by,
     field_by_name,
@@ -467,6 +469,43 @@ def test_random_rational_stays_desk_scale(rng):
     for _ in range(200):
         x = RATIONAL.random_element(rng)
         assert abs(x.value.numerator) <= 10**6 and x.value.denominator <= 10**6
+
+
+# The draws run random.Random.randrange's rejection loop on getrandbits
+# directly.  The randint/randrange forms they replaced are the oracle: each
+# draw must return the same payload and leave the generator in the same state.
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("n", [2, 5, 101, 1000, 2001, MERSENNE_61])
+def test_randbelow_matches_randrange(n):
+    for seed in range(8):
+        ours, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert _randbelow(ours.getrandbits, n, n.bit_length()) == oracle.randrange(n)
+            assert ours.getstate() == oracle.getstate()
+
+
+def old_draw(fld, rng):
+    """The payload the old randint/randrange form drew, quaternions as q_parts."""
+    if isinstance(fld, GaloisField):
+        return rng.randrange(fld.p)
+    bound = RANDOM_COEFF_BOUND
+    draws = 4 if fld is QUATERNION else 1
+    terms = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(draws)]
+    return tuple(terms) if fld is QUATERNION else terms[0]
+
+
+@pytest.mark.parametrize(
+    "fld", [GaloisField(2), GF5, GF101, GaloisField(MERSENNE_61), RATIONAL, QUATERNION], ids=lambda f: f.name
+)
+def test_random_element_matches_the_randint_draws(fld):
+    for seed in (0, 1, 7, 977, 20260816):
+        ours, old = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            x = fld.random_element(ours)
+            assert (q_parts(x) if fld is QUATERNION else x.value) == old_draw(fld, old)
+            assert ours.getstate() == old.getstate()
 
 
 def test_gf_enumeration():

@@ -6,6 +6,7 @@ every solve below uses one-sided inverses that stay valid over quaternions.
 
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import FIELDS, GF5, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
 from crossratio.plane import (
@@ -24,7 +25,9 @@ from crossratio.plane import (
     collinear,
     construct_product,
     construct_sum,
+    construct_sum_and_product,
     default_aux,
+    desargues_conclusion,
     generate_desargues_config,
     intersect,
     line_through,
@@ -272,6 +275,33 @@ def test_aux_independence_spot_check(field, rng):
     assert len(sums) == 1 and len(prods) == 1
 
 
+@given(field_and_elements(8), st.booleans())
+def test_sum_and_product_share_one_ruler(fx, vertical):
+    fld, (x1, y1, x2, y2, ta, tb, ax, ay) = fx
+    o, i = PlanePoint(x1, y1), PlanePoint(x1 if vertical else x2, y2)
+    assume(o != i and (o.x == i.x) == vertical)
+    chart = Chart(o, i)
+    a, b, aux = chart.point_at(ta), chart.point_at(tb), PlanePoint(ax, ay)
+    assume(not chart.axis.contains(aux))
+    both = construct_sum_and_product(chart, a, b, aux)
+    assert both == (construct_sum(chart, a, b, aux), construct_product(chart, a, b, aux))
+    built_sum, built_product = (dict(built.lines) for built in both)
+    assert built_sum["O-B1"] is built_product["O-B1"]
+    assert built_sum["B-B1"] is built_product["B-B1"]
+    # the operand checks come first, in order, as in the single constructions
+    step = (fld.one, fld.zero) if vertical else (fld.zero, fld.one)
+    off_a, off_b = (PlanePoint(p.x + step[0], p.y + step[1]) for p in (a, b))
+    for args, error, message in (
+        ((off_a, off_b, aux), NotOnLineError, "operand A must lie on the axis"),
+        ((a, off_b, aux), NotOnLineError, "operand B must lie on the axis"),
+        ((a, b, chart.point_at(ax)), AuxiliaryPointError, "the auxiliary point must not lie on the axis"),
+    ):
+        for build in (construct_sum_and_product, construct_sum, construct_product):
+            with pytest.raises(error) as raised:
+                build(chart, *args)
+            assert type(raised.value) is error and str(raised.value) == message
+
+
 # ---------------------------------------------------------------- Desargues
 
 
@@ -333,6 +363,19 @@ def test_desargues_rejects_wrong_mode_data():
         check_desargues(broken)
 
 
+def test_desargues_conclusion_skips_the_hypotheses():
+    import dataclasses
+
+    assert desargues_conclusion(parallel_mode_example())
+    assert desargues_conclusion(concurrent_mode_example())
+    # AC has slope 1 and A'C' slope 2; the vertex joins are not parallel,
+    # which only check_desargues reports
+    broken = dataclasses.replace(parallel_mode_example(), a_prime=rp(2, 0))
+    assert desargues_conclusion(broken) is False
+    with pytest.raises(HypothesisViolationError):
+        check_desargues(broken)
+
+
 def test_desargues_tamper_is_detected(field):
     import dataclasses
 
@@ -350,7 +393,7 @@ def test_generated_configs_satisfy_the_axiom(field, mode):
     for seed in range(12):
         cfg = generate_desargues_config(field, seed=seed, mode=mode)
         assert cfg.mode == mode
-        assert check_desargues(cfg)
+        assert check_desargues(cfg) and desargues_conclusion(cfg)
 
 
 def test_generation_is_deterministic(field):

@@ -48,6 +48,12 @@ def test_invalid_sample_count_rejected():
         run_check("field_axioms", "rational", 0, 0)
 
 
+def test_unknown_strategy_rejected():
+    # a misspelt strategy must not fall through to sampling
+    with pytest.raises(ValueError, match="auto, sampled or exhaustive"):
+        run_check("field_axioms", "gf:5", 3, 1, strategy="exhaustiv")
+
+
 def test_run_check_record_shape():
     rec = run_check("cr_inverse_swap", "rational", 25, 4)
     assert set(rec) == RECORD_KEYS
