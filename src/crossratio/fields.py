@@ -147,13 +147,11 @@ class Field:
         return Element(self, self._coerce(1))
 
     def element(self, raw) -> Element:
-        """Coerce an int, Fraction, literal string, or payload to an Element."""
+        """Coerce an int, Fraction or payload to an Element; parse() reads literals."""
         if isinstance(raw, Element):
             if raw.field is not self and raw.field != self:
                 raise FieldMismatchError(f"element of {raw.field} is not in {self}")
             return raw
-        if isinstance(raw, str):
-            return self.parse(raw)
         return Element(self, self._coerce(raw))
 
     def parse(self, text: str) -> Element:

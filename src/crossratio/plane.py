@@ -105,10 +105,6 @@ class PlaneLine:
     def is_vertical(self) -> bool:
         return self.slope is None
 
-    @property
-    def field(self) -> Field:
-        return self.intercept.field
-
     def contains(self, p: PlanePoint) -> bool:
         if self.is_vertical:
             return p.x == self.intercept
@@ -328,10 +324,6 @@ class DesarguesConfig:
     b_prime: PlanePoint
     c_prime: PlanePoint
     center: PlanePoint | None = None
-
-    @property
-    def mode(self) -> str:
-        return "parallel" if self.center is None else "concurrent"
 
     def canonical(self) -> str:
         parts = [

@@ -50,14 +50,6 @@ class ExtendedPoint:
     def is_infinity(self) -> bool:
         return self.value is None
 
-    def inv(self) -> "ExtendedPoint":
-        """Inverse with the conventions 0^-1 = inf and inf^-1 = 0."""
-        if self.is_infinity:
-            return ExtendedPoint.finite(self.field.zero)
-        if self.value.is_zero:
-            return ExtendedPoint.infinity(self.field)
-        return ExtendedPoint.finite(self.value.inv())
-
     def __neg__(self) -> "ExtendedPoint":
         if self.is_infinity:
             return self

@@ -179,30 +179,24 @@ def _record(check: CheckDef, strategy: str, reason: str | None = None) -> dict:
     return record
 
 
-def run_check(
-    name: str, field: Field | str, samples: int, seed: int, strategy: str = "auto"
-) -> dict:
-    """Run one named check; strategy is auto, sampled, or exhaustive.
+def run_check(name: str, field: Field | str, samples: int, seed: int) -> dict:
+    """Run one named check, exhaustively where it can and sampled otherwise.
 
-    The field is a Field or a selector such as "gf:5".  Auto enumerates
-    every valid tuple when the check has an enumerator and the field is a
-    prime field of modulus at most EXHAUSTIVE_MAX_MODULUS, and samples
-    otherwise.  An equality check counts every failing sample and keeps up
-    to WITNESS_CAP witnesses; a witness-search check stops at its first
-    witness and passes only if it found one.
+    The field is a Field or a selector such as "gf:5".  A check with an
+    enumerator runs over every valid tuple when the field is a prime field
+    of modulus at most EXHAUSTIVE_MAX_MODULUS; any other run draws
+    `samples` samples.  An equality check counts every failing sample and
+    keeps up to WITNESS_CAP witnesses; a witness-search check stops at its
+    first witness and passes only if it found one.
     """
     if name not in CHECKS:
         raise UnknownCheckError(f"unknown check: {name!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if strategy not in ("auto", "sampled", "exhaustive"):
-        raise ValueError(f"unknown strategy {strategy!r}: expected auto, sampled or exhaustive")
     check = CHECKS[name]
     if isinstance(field, str):
         field = field_by_name(field)
-    if strategy == "exhaustive" and not _can_enumerate(check, field):
-        raise ValueError(f"{name} cannot run exhaustively over {field}")
-    if strategy == "exhaustive" or (strategy == "auto" and _can_enumerate(check, field)):
+    if _can_enumerate(check, field):
         record = _record(check, "exhaustive")
         tuples = zip(check.enumerate_inputs(field), itertools.repeat(0))
     else:
@@ -277,9 +271,9 @@ def _tuples(count: int, nonzero: bool = False, distinct: bool = False) -> dict:
 _draw_distinct_triple = _tuples(3, distinct=True)["draw"]
 
 
-def _draw_scalar_int(rng, lo=-20, hi=20, nonzero=False):
+def _draw_scalar_int(rng, nonzero=False):
     while True:
-        k = rng.randint(lo, hi)
+        k = rng.randint(-20, 20)
         if not (nonzero and k == 0):
             return k
 
@@ -730,13 +724,20 @@ def _eval_incidence(field, inputs):
     return fails
 
 
-def _draw_chart(field, rng):
+def _draw_axis(field, rng) -> Chart | None:
+    """A chart on two random base points, or None when they coincide."""
     o = random_point(field, rng)
     i = random_point(field, rng)
     if o == i:
         return None
-    t = field.random_element(rng)
-    return (o, i, t)
+    return Chart(o, i)
+
+
+def _draw_chart(field, rng):
+    chart = _draw_axis(field, rng)
+    if chart is None:
+        return None
+    return (chart, field.random_element(rng))
 
 
 @_check(
@@ -745,29 +746,27 @@ def _draw_chart(field, rng):
     draw=_draw_chart,
 )
 def _eval_chart(field, inputs):
-    o, i, t = inputs
-    chart = Chart(o, i)
+    chart, t = inputs
+    values = (chart.o, chart.i, t)
     p = chart.point_at(t)
     return [
-        *_law("OIt", inputs, chart.coordinate(p), t),
-        *_law("OIt", inputs, chart.point_at(chart.coordinate(p)), p),
-        *_law("OIt", inputs, chart.coordinate(o), field.zero),
-        *_law("OIt", inputs, chart.coordinate(i), field.one),
+        *_law("OIt", values, chart.coordinate(p), t),
+        *_law("OIt", values, chart.point_at(chart.coordinate(p)), p),
+        *_law("OIt", values, chart.coordinate(chart.o), field.zero),
+        *_law("OIt", values, chart.coordinate(chart.i), field.one),
     ]
 
 
 def _draw_geometric(field, rng):
-    o = random_point(field, rng)
-    i = random_point(field, rng)
-    if o == i:
+    chart = _draw_axis(field, rng)
+    if chart is None:
         return None
-    axis = Chart(o, i).axis
     aux = random_point(field, rng)
-    if axis.contains(aux):
+    if chart.axis.contains(aux):
         return None
     a = field.random_element(rng)
     b = field.random_element(rng)
-    return (o, i, a, b, aux)
+    return (chart, a, b, aux)
 
 
 _GEOMETRIC_NAMES = ("O", "I", "a", "b", "aux")
@@ -779,10 +778,9 @@ _GEOMETRIC_NAMES = ("O", "I", "a", "b", "aux")
     draw=_draw_geometric,
 )
 def _eval_geometric_add(field, inputs):
-    o, i, a, b, aux = inputs
-    chart = Chart(o, i)
+    chart, a, b, aux = inputs
     result = construct_sum(chart, chart.point_at(a), chart.point_at(b), aux).result
-    return _law(_GEOMETRIC_NAMES, inputs, chart.coordinate(result), a + b)
+    return _law(_GEOMETRIC_NAMES, (chart.o, chart.i, a, b, aux), chart.coordinate(result), a + b)
 
 
 @_check(
@@ -791,18 +789,15 @@ def _eval_geometric_add(field, inputs):
     draw=_draw_geometric,
 )
 def _eval_geometric_mul(field, inputs):
-    o, i, a, b, aux = inputs
-    chart = Chart(o, i)
+    chart, a, b, aux = inputs
     result = construct_product(chart, chart.point_at(a), chart.point_at(b), aux).result
-    return _law(_GEOMETRIC_NAMES, inputs, chart.coordinate(result), a * b)
+    return _law(_GEOMETRIC_NAMES, (chart.o, chart.i, a, b, aux), chart.coordinate(result), a * b)
 
 
 def _draw_aux_family(field, rng):
-    o = random_point(field, rng)
-    i = random_point(field, rng)
-    if o == i:
+    chart = _draw_axis(field, rng)
+    if chart is None:
         return None
-    axis = Chart(o, i).axis
     auxes = []
     tries = 0
     while len(auxes) < 10:
@@ -810,12 +805,12 @@ def _draw_aux_family(field, rng):
         tries += 1
         if tries > 500:
             return None
-        if axis.contains(candidate) or candidate in auxes:
+        if chart.axis.contains(candidate) or candidate in auxes:
             continue
         auxes.append(candidate)
     a = field.random_element(rng)
     b = field.random_element(rng)
-    return (o, i, a, b, tuple(auxes))
+    return (chart, a, b, tuple(auxes))
 
 
 @_check(
@@ -824,10 +819,9 @@ def _draw_aux_family(field, rng):
     draw=_draw_aux_family,
 )
 def _eval_aux_independence(field, inputs):
-    o, i, a, b, auxes = inputs
-    chart = Chart(o, i)
+    chart, a, b, auxes = inputs
     pa, pb = chart.point_at(a), chart.point_at(b)
-    tags = [f"O={o}", f"I={i}", f"a={a}", f"b={b}"]
+    tags = [f"O={chart.o}", f"I={chart.i}", f"a={a}", f"b={b}"]
     fails = []
     sums, products = set(), set()
     for aux in auxes:

@@ -387,8 +387,10 @@ def test_construct_svg_needs_rational_plane(tmp_path, capsys):
         ("--O=0,0", f"--I=1{'0' * 400},0", "--A=2,0", "--B=3,0"),
         # each coordinate converts, but the view spans 2*10^308, which is inf
         (f"--O=-1{'0' * 308},0", f"--I=1{'0' * 308},0", "--A=0,0", "--B=1,0"),
+        # past int's default 4300-digit str limit, which main lifts: still exit 3
+        ("--O=0,0", "--I=1,0", f"--A=1{'0' * 4999},0", "--B=3,0"),
     ],
-    ids=["coordinate-overflow", "view-overflow"],
+    ids=["coordinate-overflow", "view-overflow", "5000-digit-operand"],
 )
 def test_construct_svg_out_of_float_range(tmp_path, capsys, points):
     target = tmp_path / "figure.svg"
@@ -398,6 +400,28 @@ def test_construct_svg_out_of_float_range(tmp_path, capsys, points):
     assert code == 3
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("literal", ["x", "1/0"])
+def test_construct_svg_bad_literal_exits_2_and_writes_nothing(tmp_path, capsys, literal):
+    target = tmp_path / "figure.svg"
+    code, out, err = run_cli(
+        capsys, "construct", "add", "--field", "rational",
+        "--O=0,0", "--I=1,0", f"--A={literal},0", "--B=3,0", "--svg", str(target),
+    )
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_svg_to_a_directory_exits_5_and_writes_nothing(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "construct", "add", "--field", "rational",
+        "--O=0,0", "--I=1,0", "--A=2,0", "--B=3,0", "--aux=0,1", "--svg", str(tmp_path),
+    )
+    assert code == 5
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("aux", [(), ("--aux=0,5",)], ids=["default-aux", "given-aux"])

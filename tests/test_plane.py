@@ -324,13 +324,13 @@ def concurrent_mode_example():
 
 def test_desargues_parallel_mode_example():
     cfg = parallel_mode_example()
-    assert cfg.mode == "parallel"
+    assert cfg.center is None
     assert check_desargues(cfg)
 
 
 def test_desargues_concurrent_mode_example():
     cfg = concurrent_mode_example()
-    assert cfg.mode == "concurrent"
+    assert cfg.center is not None
     assert check_desargues(cfg)
 
 
@@ -392,7 +392,7 @@ def test_desargues_tamper_is_detected(field):
 def test_generated_configs_satisfy_the_axiom(field, mode):
     for seed in range(12):
         cfg = generate_desargues_config(field, seed=seed, mode=mode)
-        assert cfg.mode == mode
+        assert (cfg.center is None) == (mode == "parallel")
         assert check_desargues(cfg) and desargues_conclusion(cfg)
 
 

@@ -26,48 +26,6 @@ def assert_one_error_line(done, code=2):
     assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
 
 
-def test_draw_construction(tmp_path):
-    done = run_script("draw_construction.py", "--a", "1/2", "--b", "3", "--out-dir", "figs", cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "sum: C = 7/2,0 (coordinate 7/2) -> figs/sum.svg",
-        "product: C = 3/2,0 (coordinate 3/2) -> figs/product.svg",
-    ]
-    for name in ("sum", "product"):
-        body = (tmp_path / "figs" / f"{name}.svg").read_text()
-        assert body.startswith("<svg") and ">P1<" in body
-
-
-@pytest.mark.parametrize("literal", ["x", "1/0"])
-def test_draw_construction_bad_literal_exits_2(tmp_path, literal):
-    done = run_script("draw_construction.py", "--a", literal, "--out-dir", "figs", cwd=tmp_path)
-    assert_one_error_line(done)
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize(
-    "operands",
-    [
-        (str(10**400), "3"),
-        # the sum fits in a float and only the product does not
-        (str(10**200), str(10**200)),
-    ],
-)
-def test_draw_construction_out_of_float_range_exits_3_and_writes_nothing(tmp_path, operands):
-    a, b = operands
-    done = run_script("draw_construction.py", "--a", a, "--b", b, "--out-dir", "figs", cwd=tmp_path)
-    assert_one_error_line(done, 3)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_draw_construction_out_dir_is_a_file_exits_5(tmp_path):
-    (tmp_path / "afile").write_text("")
-    done = run_script("draw_construction.py", "--out-dir", "afile", cwd=tmp_path)
-    assert_one_error_line(done, 5)
-    assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
-    assert (tmp_path / "afile").read_text() == ""
-
-
 def test_run_full_verification(tmp_path):
     done = run_script(
         "run_full_verification.py", "--fields", "rational", "gf:5", "quaternion",

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, swapped_inverse_form_matches
 from crossratio import ratio, verify
+from crossratio.fields import GaloisField
 from crossratio.verify import (
     CHECKS,
     CheckDef,
@@ -48,12 +49,6 @@ def test_invalid_sample_count_rejected():
         run_check("field_axioms", "rational", 0, 0)
 
 
-def test_unknown_strategy_rejected():
-    # a misspelt strategy must not fall through to sampling
-    with pytest.raises(ValueError, match="auto, sampled or exhaustive"):
-        run_check("field_axioms", "gf:5", 3, 1, strategy="exhaustiv")
-
-
 def test_run_check_record_shape():
     rec = run_check("cr_inverse_swap", "rational", 25, 4)
     assert set(rec) == RECORD_KEYS
@@ -83,42 +78,6 @@ def test_small_prime_fields_enumerate_exhaustively():
     assert rec["passed"]
 
 
-def test_sampled_and_exhaustive_agree_on_gf5():
-    names = [
-        "cr_inverse_swap",
-        "cr_negation_invariance",
-        "cr_alternative_formula",
-        "cr_complement",
-        "cr_permutation_trio",
-        "cr_ratio_factorization",
-        "cr_commutative_symmetry",
-    ]
-    for name in names:
-        sampled = run_check(name, "gf:5", 300, 8, strategy="sampled")
-        full = run_check(name, "gf:5", 300, 8, strategy="exhaustive")
-        assert sampled["passed"] == full["passed"] is True, name
-
-
-def test_exhaustive_strategy_needs_enumerable_field():
-    with pytest.raises(ValueError):
-        run_check("cr_inverse_swap", "rational", 10, 0, strategy="exhaustive")
-    with pytest.raises(ValueError):
-        run_check("cr_inverse_swap", "gf:101", 10, 0, strategy="exhaustive")
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "cr_inverse_points_conjugation",
-        "cr_noncommutativity_witness",
-        "norm_multiplicativity",  # an enumeration over GF(p) would call field.norm
-    ],
-)
-def test_exhaustive_strategy_needs_an_enumerator(name):
-    with pytest.raises(ValueError):
-        run_check(name, "gf:5", 10, 0, strategy="exhaustive")
-
-
 ENUMERABLE = [name for name, check in CHECKS.items() if check.enumerate_inputs is not None]
 
 
@@ -139,14 +98,17 @@ def test_draw_and_enumerator_cover_the_same_domain(name, field):
 @pytest.mark.parametrize(
     "name, strategy",
     [
-        ("ratio3_laws", "auto"),  # three distinct nonzero points: none over GF(3)
+        ("ratio3_laws", "exhaustive"),  # three distinct nonzero points: none over GF(3)
         ("cr_inverse_swap", "exhaustive"),  # four distinct points: none over GF(3)
-        ("cr_inverse_swap", "sampled"),  # every draw is rejected
+        ("cr_inverse_points_conjugation", "sampled"),  # no enumerator: every draw is rejected
     ],
 )
 def test_check_without_valid_inputs_is_an_error(name, strategy):
+    # one case per NoValidInputError site: an empty enumeration, and REDRAW_CAP rejected draws
+    gf3 = GaloisField(3)
+    assert verify._can_enumerate(CHECKS[name], gf3) == (strategy == "exhaustive")
     with pytest.raises(ValueError) as exc:
-        run_check(name, "gf:3", 10, 0, strategy=strategy)
+        run_check(name, gf3, 10, 0)
     assert exc.type is verify.NoValidInputError
 
 
