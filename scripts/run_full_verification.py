@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Run the whole identity suite over every field and summarize the outcome.
 
-Writes one JSON report per field and prints a per-check table.  Exit
+Writes one JSON report per field, the report that `crossratio verify
+--format json` prints for the same field, seed and samples, and once it is
+written prints it as `crossratio verify` does, between a `== field
+(elapsed)` header and a `report -> path` line.  Exit
 status: 0 every non-skipped check passed, 1 at least one failed somewhere,
 2 a bad argument (an unknown or non-prime field, a field too small to give
 some check any input, or fewer than one sample), 5 a report that cannot be
@@ -20,6 +23,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from crossratio.cli import format_report
 from crossratio.fields import field_by_name
 from crossratio.verify import run_suite
 
@@ -58,18 +62,9 @@ def run(args) -> int:
         target = out_dir / f"{name.replace(':', '_')}.json"
         target.write_text(json.dumps(report, indent=2))
 
-        print(f"== {name}  ({elapsed:.1f}s)  passed={report['passed']}")
-        for record in report["checks"]:
-            if record["skipped"]:
-                print(f"   SKIP {record['name']:36s} {record['reason']}")
-            else:
-                state = "pass" if record["passed"] else "FAIL"
-                print(
-                    f"   {state} {record['name']:36s} "
-                    f"{record['strategy']:10s} n={record['samples_run']:<6d} "
-                    f"failures={record['failures']}"
-                )
-        print(f"   report -> {target}")
+        print(f"== {name}  ({elapsed:.1f}s)")
+        print(format_report(report))
+        print(f"report -> {target}")
     return 0 if all_passed else 1
 
 

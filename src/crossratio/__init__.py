@@ -19,7 +19,6 @@ from .fields import (
     commutes,
     conjugate_by,
     field_by_name,
-    is_central,
 )
 from .plane import (
     AuxiliaryPointError,

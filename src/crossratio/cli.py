@@ -116,34 +116,36 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def format_report(report: dict) -> str:
+    """The text form of a run_suite report: one line per check, then the verdict."""
+    lines = [f"field={report['field']} seed={report['seed']} samples={report['samples']}"]
+    for check in report["checks"]:
+        if check["skipped"]:
+            lines.append(f"SKIP {check['name']}: {check['reason']}")
+        elif check["passed"]:
+            lines.append(
+                f"PASS {check['name']} "
+                f"({check['strategy']}, {check['samples_run']} samples, "
+                f"{check['redraws']} redraws)"
+            )
+        else:
+            lines.append(
+                f"FAIL {check['name']}: {check['failures']} failures "
+                f"in {check['samples_run']} samples"
+            )
+            for witness in check["witnesses"]:
+                joined = ", ".join(witness["inputs"])
+                lines.append(
+                    f"     witness: {joined} | lhs={witness['lhs']} rhs={witness['rhs']}"
+                )
+    lines.append("suite passed" if report["passed"] else "suite FAILED")
+    return "\n".join(lines)
+
+
 def _cmd_verify(args) -> int:
     field = field_by_name(args.field)
     report = run_suite(field, args.seed, args.samples)
-    if args.fmt == "json":
-        _emit(json.dumps(report, indent=2), args.out)
-    else:
-        lines = [f"field={report['field']} seed={report['seed']} samples={report['samples']}"]
-        for check in report["checks"]:
-            if check["skipped"]:
-                lines.append(f"SKIP {check['name']}: {check['reason']}")
-            elif check["passed"]:
-                lines.append(
-                    f"PASS {check['name']} "
-                    f"({check['strategy']}, {check['samples_run']} samples, "
-                    f"{check['redraws']} redraws)"
-                )
-            else:
-                lines.append(
-                    f"FAIL {check['name']}: {check['failures']} failures "
-                    f"in {check['samples_run']} samples"
-                )
-                for witness in check["witnesses"]:
-                    joined = ", ".join(witness["inputs"])
-                    lines.append(
-                        f"     witness: {joined} | lhs={witness['lhs']} rhs={witness['rhs']}"
-                    )
-        lines.append("suite passed" if report["passed"] else "suite FAILED")
-        _emit("\n".join(lines), args.out)
+    _emit(json.dumps(report, indent=2) if args.fmt == "json" else format_report(report), args.out)
     return 0 if report["passed"] else 1
 
 

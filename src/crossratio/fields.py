@@ -527,11 +527,6 @@ def commutes(x: Element, y: Element) -> bool:
     return x * y == y * x
 
 
-def is_central(x: Element) -> bool:
-    """Whether x lies in the center of its field."""
-    return x.field.is_central(x)
-
-
 def conjugate_by(p: Element, q: Element) -> Element:
     """The conjugate q^-1 * p * q; q must be nonzero."""
     return q.inv() * p * q

@@ -10,6 +10,10 @@ are not.  Most checks are universally quantified equalities; the
 noncommutativity check is an existence search whose pass criterion is that
 a witness IS found.  On small prime fields, checks with a registered
 enumerator run exhaustively over all valid tuples instead of sampling.
+A check's scope says which fields its law holds over (any skew field, or
+only commutative, only noncommutative, only the quaternions); run_check
+records a check outside the field's scope as a skip with its reason, so
+every caller gets the same record.  Both runners take a Field instance.
 A check that gets no valid input at all (an empty enumeration, or
 REDRAW_CAP rejected draws in a row) raises NoValidInputError rather than
 passing vacuously.
@@ -30,8 +34,6 @@ from .fields import (
     GaloisField,
     QuaternionField,
     commutes,
-    field_by_name,
-    is_central,
 )
 from .plane import (
     Chart,
@@ -123,14 +125,15 @@ def _sample_rng(seed: int, name: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{name}:{index}")
 
 
-def applicable(check: CheckDef, field: Field) -> tuple[bool, str | None]:
+def _skip_reason(check: CheckDef, field: Field) -> str | None:
+    """Why the check's scope excludes the field, or None when it applies."""
     if check.scope == "commutative" and not field.commutative:
-        return False, "holds only over a commutative field"
+        return "holds only over a commutative field"
     if check.scope == "noncommutative" and field.commutative:
-        return False, "needs a noncommutative field"
+        return "needs a noncommutative field"
     if check.scope == "quaternion" and not isinstance(field, QuaternionField):
-        return False, "defined for quaternions only"
-    return True, None
+        return "defined for quaternions only"
+    return None
 
 
 def _can_enumerate(check: CheckDef, field: Field) -> bool:
@@ -179,10 +182,11 @@ def _record(check: CheckDef, strategy: str, reason: str | None = None) -> dict:
     return record
 
 
-def run_check(name: str, field: Field | str, samples: int, seed: int) -> dict:
+def run_check(name: str, field: Field, samples: int, seed: int) -> dict:
     """Run one named check, exhaustively where it can and sampled otherwise.
 
-    The field is a Field or a selector such as "gf:5".  A check with an
+    A check whose scope excludes the field is not run: its record is a skip
+    with strategy "none", a reason and `passed` None.  A check with an
     enumerator runs over every valid tuple when the field is a prime field
     of modulus at most EXHAUSTIVE_MAX_MODULUS; any other run draws
     `samples` samples.  An equality check counts every failing sample and
@@ -194,8 +198,9 @@ def run_check(name: str, field: Field | str, samples: int, seed: int) -> dict:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     check = CHECKS[name]
-    if isinstance(field, str):
-        field = field_by_name(field)
+    reason = _skip_reason(check, field)
+    if reason is not None:
+        return _record(check, "none", reason)
     if _can_enumerate(check, field):
         record = _record(check, "exhaustive")
         tuples = zip(check.enumerate_inputs(field), itertools.repeat(0))
@@ -221,17 +226,9 @@ def run_check(name: str, field: Field | str, samples: int, seed: int) -> dict:
     return record
 
 
-def run_suite(field: Field | str, seed: int, samples: int = 1000) -> dict:
-    """Run every check applicable to the field; skips are recorded, not lost."""
-    if isinstance(field, str):
-        field = field_by_name(field)
-    records = []
-    for check in CHECKS.values():
-        ok, reason = applicable(check, field)
-        if ok:
-            records.append(run_check(check.name, field, samples, seed))
-        else:
-            records.append(_record(check, "none", reason))
+def run_suite(field: Field, seed: int, samples: int = 1000) -> dict:
+    """Run every check over the field; skips are recorded, not lost."""
+    records = [run_check(name, field, samples, seed) for name in CHECKS]
     return {
         "field": field.name,
         "seed": seed,
@@ -366,7 +363,7 @@ def _eval_center_membership(field, inputs):
         expected = all(commutes(candidate, s) for s in field.basis()) and all(
             commutes(candidate, s) for s in probes
         )
-        got = is_central(candidate)
+        got = field.is_central(candidate)
         if got != expected:
             fails.append(
                 _witness([f"candidate({tag})={candidate}"], got, f"probe says {expected}")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
-from crossratio import verify
+from crossratio import ratio, verify
 from crossratio.fields import GaloisField, QuaternionField, RationalField
 from crossratio.ratio import cross_ratio
 
@@ -42,6 +42,14 @@ def field(request):
 @pytest.fixture
 def rng():
     return random.Random(977)
+
+
+@pytest.fixture
+def broken_ratios(monkeypatch):
+    """Corrupt the ratio functions the checks call, so witnesses get recorded."""
+    monkeypatch.setattr(verify, "cross_ratio", lambda *args: -ratio.cross_ratio(*args))
+    monkeypatch.setattr(verify, "ratio2", lambda *args: ratio.ratio2(*args) + args[0].field.one)
+    monkeypatch.setattr(verify, "ratio3", lambda *args: ratio.ratio3(*args) + args[0].field.one)
 
 
 def element_strategy(field, nonzero=False):

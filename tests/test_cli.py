@@ -77,6 +77,14 @@ def test_eval_bad_literal(capsys):
     assert code == 2
 
 
+def test_python_dash_m_runs_the_cli():
+    done = run_process("eval", "--field", "rational", "2", "3", "1", "0")
+    assert done.returncode == 0 and done.stdout == "3/4\n"
+    done = run_process("eval", "--field", "rational", "2", "x", "1", "0")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+
+
 def test_nonprime_field_selector(capsys):
     code, _, err = run_cli(capsys, "eval", "--field", "gf:4", "2", "3", "1", "0")
     assert code == 2
@@ -182,6 +190,27 @@ def test_verify_text_report(capsys):
     assert code == 0
     assert "suite passed" in out
     assert "PASS" in out and "SKIP" in out and "FAIL" not in out
+
+
+# sha256 of the `verify --format text` bytes: SKIP lines (quaternion),
+# exhaustive PASS lines (gf:5), and FAIL and witness lines (a failing report)
+TEXT_DIGESTS = {
+    ("quaternion", "5"): "87da1744c0e2652ef43172a78659a61690461c519a12b085d0d0c95ff81ec6d1",
+    ("gf:5", "25"): "588f1e4e48557c9eb09eff578780236da2358c1b23697e8c706125a681651010",
+}
+
+
+@pytest.mark.parametrize("case", TEXT_DIGESTS, ids=lambda case: case[0])
+def test_verify_text_is_pinned(capsys, case):
+    field, samples = case
+    code, out, _ = run_cli(capsys, "verify", "--field", field, "--seed", "7", "--samples", samples)
+    assert code == 0 and sha256(out) == TEXT_DIGESTS[case]
+
+
+def test_failing_verify_text_is_pinned(capsys, broken_ratios):
+    code, out, _ = run_cli(capsys, "verify", "--field", "rational", "--seed", "7", "--samples", "12")
+    assert code == 1
+    assert sha256(out) == "eed1b5cbefd989aed4f7c1dd61c613d670854a2c08a7d95c4d355bfa97b9646a"
 
 
 def test_verify_json_report_schema(capsys):

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from crossratio.cli import format_report, main
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -26,7 +28,13 @@ def assert_one_error_line(done, code=2):
     assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
 
 
-def test_run_full_verification(tmp_path):
+def without_timestamp(text):
+    report = json.loads(text)
+    report.pop("timestamp")
+    return json.dumps(report, indent=2)
+
+
+def test_run_full_verification(tmp_path, capsys):
     done = run_script(
         "run_full_verification.py", "--fields", "rational", "gf:5", "quaternion",
         "--samples", "2", "--out-dir", "reports", cwd=tmp_path,
@@ -35,8 +43,14 @@ def test_run_full_verification(tmp_path):
     written = sorted(p.name for p in (tmp_path / "reports").iterdir())
     assert written == ["gf_5.json", "quaternion.json", "rational.json"]
     for name in written:
-        report = json.loads((tmp_path / "reports" / name).read_text())
+        text = (tmp_path / "reports" / name).read_text()
+        report = json.loads(text)
         assert report["passed"] is True and report["samples"] == 2
+        # the report `crossratio verify` gives for the same run, printed as it prints it
+        argv = ["verify", "--field", report["field"], "--seed", "42", "--samples", "2"]
+        assert main([*argv, "--format", "json"]) == 0
+        assert without_timestamp(capsys.readouterr().out) == without_timestamp(text)
+        assert format_report(report) in done.stdout
 
 
 @pytest.mark.parametrize(

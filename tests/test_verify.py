@@ -7,14 +7,13 @@ import random
 import pytest
 
 from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, swapped_inverse_form_matches
-from crossratio import ratio, verify
-from crossratio.fields import GaloisField
+from crossratio import verify
+from crossratio.fields import GaloisField, field_by_name
 from crossratio.verify import (
     CHECKS,
     CheckDef,
     UnknownCheckError,
     WITNESS_CAP,
-    applicable,
     run_check,
     run_suite,
 )
@@ -41,16 +40,16 @@ def strip_timestamp(report):
 
 def test_unknown_check_rejected():
     with pytest.raises(UnknownCheckError):
-        run_check("no_such_check", "rational", 10, 0)
+        run_check("no_such_check", RATIONAL, 10, 0)
 
 
 def test_invalid_sample_count_rejected():
     with pytest.raises(ValueError):
-        run_check("field_axioms", "rational", 0, 0)
+        run_check("field_axioms", RATIONAL, 0, 0)
 
 
 def test_run_check_record_shape():
-    rec = run_check("cr_inverse_swap", "rational", 25, 4)
+    rec = run_check("cr_inverse_swap", RATIONAL, 25, 4)
     assert set(rec) == RECORD_KEYS
     assert rec["passed"] and rec["failures"] == 0 and rec["witnesses"] == []
     assert rec["samples_run"] == 25
@@ -58,21 +57,15 @@ def test_run_check_record_shape():
 
 
 def test_run_check_is_deterministic():
-    args = ("cr_complement", "quaternion", 30, 99)
+    args = ("cr_complement", QUATERNION, 30, 99)
     assert run_check(*args) == run_check(*args)
-
-
-def test_field_accepts_instance_or_selector():
-    by_name = run_check("ratio2_laws", "gf:101", 20, 1)
-    by_instance = run_check("ratio2_laws", GF101, 20, 1)
-    assert by_name == by_instance
 
 
 # ---------------------------------------------------------------- strategies
 
 
 def test_small_prime_fields_enumerate_exhaustively():
-    rec = run_check("cr_inverse_swap", "gf:5", 1000, 0)
+    rec = run_check("cr_inverse_swap", GF5, 1000, 0)
     assert rec["strategy"] == "exhaustive"
     assert rec["samples_run"] == 5 * 4 * 3 * 2  # ordered distinct 4-tuples
     assert rec["passed"]
@@ -116,14 +109,21 @@ def test_check_without_valid_inputs_is_an_error(name, strategy):
 
 
 def test_noncommutativity_witness_absent_over_rationals():
-    rec = run_check("cr_noncommutativity_witness", "rational", 100, 2)
-    assert rec["kind"] == "witness-search"
-    assert rec["passed"] is False  # no witness can exist
-    assert rec["samples_run"] == 100
+    # The search is out of scope over Q, so it does not run.  It evaluates
+    # cr_commutative_symmetry's law on that check's draw, and the law holds
+    # over Q (acceptance criterion 04), so no witness exists there anyway.
+    rec = run_check("cr_noncommutativity_witness", RATIONAL, 100, 2)
+    assert rec["kind"] == "witness-search" and rec["skipped"] is True
+    assert rec["passed"] is None and rec["samples_run"] == 0 and rec["witnesses"] == []
+    search, law = CHECKS["cr_noncommutativity_witness"], CHECKS["cr_commutative_symmetry"]
+    assert search.evaluate is law.evaluate
+    for index in range(20):
+        draws = [check.draw(RATIONAL, random.Random(index)) for check in (search, law)]
+        assert draws[0] == draws[1]
 
 
 def test_noncommutativity_witness_found_over_quaternions():
-    rec = run_check("cr_noncommutativity_witness", "quaternion", 100, 2)
+    rec = run_check("cr_noncommutativity_witness", QUATERNION, 100, 2)
     assert rec["passed"] is True
     assert rec["samples_run"] <= 100
     wit = rec["witnesses"][0]
@@ -145,11 +145,11 @@ def test_failing_check_reports_capped_witnesses():
         ],
     )
     try:
-        rec = run_check(name, "rational", 40, 0)
+        rec = run_check(name, RATIONAL, 40, 0)
         assert rec["passed"] is False
         assert rec["failures"] == 40
         assert len(rec["witnesses"]) == WITNESS_CAP
-        suite = run_suite("rational", seed=0, samples=5)
+        suite = run_suite(RATIONAL, seed=0, samples=5)
         assert suite["passed"] is False
     finally:
         del CHECKS[name]
@@ -159,7 +159,7 @@ def test_failing_check_reports_capped_witnesses():
 
 
 def test_suite_shape_and_skips():
-    report = run_suite("quaternion", seed=5, samples=8)
+    report = run_suite(QUATERNION, seed=5, samples=8)
     assert {"field", "seed", "samples", "timestamp", "passed", "checks"} <= set(report)
     assert report["field"] == "quaternion" and report["passed"] is True
     by_name = {rec["name"]: rec for rec in report["checks"]}
@@ -171,7 +171,7 @@ def test_suite_shape_and_skips():
     assert by_name["norm_multiplicativity"]["skipped"] is False
 
 
-@pytest.mark.parametrize("field", ["rational", "gf:5", "quaternion"])
+@pytest.mark.parametrize("field", [RATIONAL, GF5, QUATERNION], ids=lambda f: f.name)
 def test_suite_records_have_exactly_the_record_keys(field):
     for rec in run_suite(field, seed=5, samples=4)["checks"]:
         expected = RECORD_KEYS | {"reason"} if rec["skipped"] else RECORD_KEYS
@@ -179,7 +179,7 @@ def test_suite_records_have_exactly_the_record_keys(field):
 
 
 def test_suite_skips_on_commutative_fields():
-    report = run_suite("gf:101", seed=5, samples=8)
+    report = run_suite(GF101, seed=5, samples=8)
     by_name = {rec["name"]: rec for rec in report["checks"]}
     assert by_name["norm_multiplicativity"]["skipped"] is True
     assert by_name["cr_noncommutativity_witness"]["skipped"] is True
@@ -188,27 +188,46 @@ def test_suite_skips_on_commutative_fields():
 
 
 def test_suite_is_deterministic_modulo_timestamp():
-    a = run_suite("rational", seed=31, samples=12)
-    b = run_suite("rational", seed=31, samples=12)
+    a = run_suite(RATIONAL, seed=31, samples=12)
+    b = run_suite(RATIONAL, seed=31, samples=12)
     assert strip_timestamp(a) == strip_timestamp(b)
     assert json.dumps(strip_timestamp(a)) == json.dumps(strip_timestamp(b))
 
 
 def test_suite_reports_are_json_serializable():
-    report = run_suite("gf:5", seed=1, samples=6)
+    report = run_suite(GF5, seed=1, samples=6)
     parsed = json.loads(json.dumps(report))
     assert parsed["passed"] is True
 
 
 def test_applicability_matrix():
-    assert applicable(CHECKS["norm_multiplicativity"], RATIONAL) == (
-        False,
-        "defined for quaternions only",
-    )
-    ok, reason = applicable(CHECKS["cr_commutative_symmetry"], QUATERNION)
-    assert not ok and reason
-    ok, reason = applicable(CHECKS["cr_inverse_swap"], GF5)
-    assert ok and reason is None
+    rec = run_check("norm_multiplicativity", RATIONAL, 3, 0)
+    assert rec["skipped"] is True and rec["reason"] == "defined for quaternions only"
+    rec = run_check("cr_commutative_symmetry", QUATERNION, 3, 0)
+    assert rec["skipped"] is True and rec["reason"] == "holds only over a commutative field"
+    rec = run_check("cr_noncommutativity_witness", GF5, 3, 0)
+    assert rec["skipped"] is True and rec["reason"] == "needs a noncommutative field"
+    rec = run_check("cr_inverse_swap", GF5, 3, 0)
+    assert rec["skipped"] is False and "reason" not in rec
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("norm_multiplicativity", GF5),
+        ("norm_multiplicativity", RATIONAL),
+        ("cr_commutative_symmetry", QUATERNION),
+        ("ratio3_inverse_commutative", QUATERNION),
+        ("cr_noncommutativity_witness", RATIONAL),
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_run_check_skips_out_of_scope_as_run_suite_does(name, field):
+    # run_check decides scope for every caller, so it returns the suite's skip record
+    by_name = {rec["name"]: rec for rec in run_suite(field, seed=0, samples=3)["checks"]}
+    rec = run_check(name, field, 3, 0)
+    assert rec == by_name[name]
+    assert rec["skipped"] is True and rec["strategy"] == "none" and rec["passed"] is None
 
 
 # ---------------------------------------------------------------- inverse-points law
@@ -226,7 +245,7 @@ def test_swapped_inverse_points_form_matches_iff_half(field, samples, matches):
 
 
 def test_conjugation_collapses_for_central_first_point():
-    rec = run_check("cr_central_collapse", "quaternion", 50, 3)
+    rec = run_check("cr_central_collapse", QUATERNION, 50, 3)
     assert rec["passed"]
 
 
@@ -237,7 +256,7 @@ def test_conjugation_collapses_for_central_first_point():
 
 
 def report_digest(field, seed, samples):
-    report = run_suite(field, seed, samples)
+    report = run_suite(field_by_name(field), seed, samples)
     report.pop("timestamp")
     return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
 
@@ -265,14 +284,6 @@ def case_id(case):
 @pytest.mark.parametrize("case", PASSING_DIGESTS, ids=case_id)
 def test_passing_report_bytes_are_pinned(case):
     assert report_digest(*case) == PASSING_DIGESTS[case]
-
-
-@pytest.fixture
-def broken_ratios(monkeypatch):
-    """Corrupt the ratio functions the checks call, so witnesses get recorded."""
-    monkeypatch.setattr(verify, "cross_ratio", lambda *args: -ratio.cross_ratio(*args))
-    monkeypatch.setattr(verify, "ratio2", lambda *args: ratio.ratio2(*args) + args[0].field.one)
-    monkeypatch.setattr(verify, "ratio3", lambda *args: ratio.ratio3(*args) + args[0].field.one)
 
 
 @pytest.mark.parametrize("case", FAILING_DIGESTS, ids=case_id)
