@@ -60,7 +60,7 @@ def run(args) -> int:
 
         out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / f"{name.replace(':', '_')}.json"
-        target.write_text(json.dumps(report, indent=2))
+        target.write_text(json.dumps(report, indent=2) + "\n")
 
         print(f"== {name}  ({elapsed:.1f}s)")
         print(format_report(report))

@@ -15,6 +15,14 @@ Desargues configurations (two triangles in parallel or central perspective
 with two pairs of parallel sides).  desargues_conclusion tests only the
 conclusion, for a configuration already validated, such as one the
 generator returns; check_desargues validates first.
+
+The primitives that every construction and check runs through
+(line_through, parallel_through, intersect, PlaneLine.contains,
+Chart.point_at and Chart.coordinate) compute on the field payloads, through
+the field's own _add, _sub, _mul and _inv, and wrap only the values they
+return in Elements.  So each one checks its arguments' fields itself, before
+it looks at the line's kind: a call that mixes unequal fields raises
+FieldMismatchError, on a vertical line as on a sloped one.
 """
 
 from __future__ import annotations
@@ -106,9 +114,12 @@ class PlaneLine:
         return self.slope is None
 
     def contains(self, p: PlanePoint) -> bool:
+        f = self.intercept.field
+        if p.x.field is not f and p.x.field != f:
+            raise FieldMismatchError(f"point over {p.x.field} tested against a line over {f}")
         if self.is_vertical:
             return p.x == self.intercept
-        return p.y == p.x * self.slope + self.intercept
+        return p.y.value == f._add(f._mul(p.x.value, self.slope.value), self.intercept.value)
 
     def __eq__(self, other):
         if not isinstance(other, PlaneLine):
@@ -129,19 +140,29 @@ class PlaneLine:
 
 def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
     """The unique line incident with two distinct points."""
-    if p == q:
-        raise IdenticalPointsError("no unique line through a repeated point")
-    if p.x == q.x:
+    f = p.x.field
+    if q.x.field is not f and q.x.field != f:
+        raise FieldMismatchError(f"no line through points over {f} and {q.x.field}")
+    px, py, qx, qy = p.x.value, p.y.value, q.x.value, q.y.value
+    if px == qx:
+        if py == qy:
+            raise IdenticalPointsError("no unique line through a repeated point")
         return PlaneLine.vertical(p.x)
-    m = (q.x - p.x).inv() * (q.y - p.y)
-    return PlaneLine.sloped(m, p.y - p.x * m)
+    # q.x - p.x is nonzero: the branch above took every p.x == q.x
+    m = f._mul(f._inv(f._sub(qx, px)), f._sub(qy, py))
+    return PlaneLine.sloped(Element(f, m), Element(f, f._sub(py, f._mul(px, m))))
 
 
 def parallel_through(l: PlaneLine, p: PlanePoint) -> PlaneLine:
     """The unique line through p with the same direction as l."""
+    f = p.x.field
+    g = l.intercept.field
+    if g is not f and g != f:
+        raise FieldMismatchError(f"no parallel to a line over {g} through a point over {f}")
     if l.is_vertical:
         return PlaneLine.vertical(p.x)
-    return PlaneLine.sloped(l.slope, p.y - p.x * l.slope)
+    m = l.slope
+    return PlaneLine.sloped(m, Element(f, f._sub(p.y.value, f._mul(p.x.value, m.value))))
 
 
 def parallel(l1: PlaneLine, l2: PlaneLine) -> bool:
@@ -151,6 +172,9 @@ def parallel(l1: PlaneLine, l2: PlaneLine) -> bool:
 
 def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint | None:
     """The common point of two distinct lines, or None when parallel."""
+    f = l1.intercept.field
+    if l2.intercept.field is not f and l2.intercept.field != f:
+        raise FieldMismatchError(f"no intersection of lines over {f} and {l2.intercept.field}")
     if l1 == l2:
         raise IdenticalLinesError("intersection of a line with itself is the line")
     if parallel(l1, l2):
@@ -161,9 +185,11 @@ def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint | None:
     if l2.is_vertical:
         x = l2.intercept
         return PlanePoint(x, x * l1.slope + l1.intercept)
-    # x*m1 + b1 = x*m2 + b2 solved by the right inverse of (m1 - m2)
-    x = (l2.intercept - l1.intercept) * (l1.slope - l2.slope).inv()
-    return PlanePoint(x, x * l1.slope + l1.intercept)
+    # x*m1 + b1 = x*m2 + b2 solved by the right inverse of (m1 - m2), which
+    # is nonzero: parallel() above took every pair of equal slopes
+    m1, b1 = l1.slope.value, l1.intercept.value
+    x = f._mul(f._sub(l2.intercept.value, b1), f._inv(f._sub(m1, l2.slope.value)))
+    return PlanePoint(Element(f, x), Element(f, f._add(f._mul(x, m1), b1)))
 
 
 def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
@@ -190,16 +216,28 @@ class Chart:
     def point_at(self, t: Element) -> PlanePoint:
         """The axis point with coordinate t."""
         o, i = self.o, self.i
-        return PlanePoint(o.x + t * (i.x - o.x), o.y + t * (i.y - o.y))
+        f = o.x.field
+        if t.__class__ is not Element or t.field is not f:
+            t = o.x._check(t)  # TypeError or FieldMismatchError, as Element's operators raise
+        t, ox, oy = t.value, o.x.value, o.y.value
+        return PlanePoint(
+            Element(f, f._add(ox, f._mul(t, f._sub(i.x.value, ox)))),
+            Element(f, f._add(oy, f._mul(t, f._sub(i.y.value, oy)))),
+        )
 
     def coordinate(self, p: PlanePoint) -> Element:
         """The coordinate of an axis point p."""
         o, i = self.o, self.i
-        if not self.axis.contains(p):
+        if not self.axis.contains(p):  # also the field check
             raise NotOnLineError(f"{p} is not on the axis through {o} and {i}")
+        f = o.x.field
         if self.axis.is_vertical:
-            return (p.y - o.y) * (i.y - o.y).inv()
-        return (p.x - o.x) * (i.x - o.x).inv()
+            along, base, unit = p.y.value, o.y.value, i.y.value
+        else:
+            along, base, unit = p.x.value, o.x.value, i.x.value
+        # unit - base is nonzero: O != I, and the axis is vertical exactly
+        # when their x agree, so they differ in the coordinate read here
+        return Element(f, f._mul(f._sub(along, base), f._inv(f._sub(unit, base))))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from crossratio.fields import (
     conjugate_by,
     field_by_name,
 )
-from crossratio.plane import PlanePoint
+from crossratio.plane import Chart, PlaneLine, PlanePoint, intersect, line_through, parallel_through
 from crossratio.ratio import ExtendedPoint, cross_ratio
 
 
@@ -182,6 +182,20 @@ def test_equal_field_instances_mix(f, g):
     assert cross_ratio(ExtendedPoint.infinity(f), g.element(2), f.element(5), g.one).value == (
         (g.element(2) - g.one) * (g.element(2) - g.element(5)).inv()
     )
+    # the plane primitives, on both line kinds
+    p, q = PlanePoint(f.one, f.element(2)), PlanePoint(g.element(3), g.element(5))
+    line, vertical = line_through(p, q), PlaneLine.vertical(f.element(4))
+    assert line.contains(p) and line.contains(q) and line == line_through(q, p)
+    assert vertical.contains(PlanePoint(g.element(4), g.zero))
+    assert parallel_through(vertical, q) == PlaneLine.vertical(g.element(3))
+    assert parallel_through(line, PlanePoint(g.zero, g.zero)).contains(PlanePoint(f.zero, f.zero))
+    meet = intersect(line, PlaneLine.vertical(g.element(4)))
+    assert meet.x == f.element(4) and line.contains(meet)
+    assert intersect(PlaneLine.sloped(g.zero, g.zero), line).y == f.zero
+    assert intersect(vertical, PlaneLine.vertical(g.one)) is None
+    for chart in (Chart(p, q), Chart(p, PlanePoint(g.one, g.element(7)))):  # sloped, vertical axis
+        assert chart.point_at(g.zero) == p and chart.coordinate(chart.i) == f.one
+        assert chart.coordinate(chart.point_at(g.element(3))) == f.element(3)
 
 
 @pytest.mark.parametrize(
@@ -205,6 +219,28 @@ def test_different_fields_do_not_mix(f, g):
         cross_ratio(f.element(1), f.element(2), f.element(4), y)
     with pytest.raises(FieldMismatchError):
         cross_ratio(ExtendedPoint.infinity(g), f.element(2), f.element(4), f.element(5))
+    # every plane primitive, on both line kinds: the field check comes
+    # before the branch on the line's kind
+    q = PlanePoint(y, g.one)
+    with pytest.raises(FieldMismatchError):
+        line_through(PlanePoint(x, f.one), q)
+    vertical, sloped = PlaneLine.vertical(x), PlaneLine.sloped(f.one, x)
+    for line in (vertical, sloped):
+        with pytest.raises(FieldMismatchError):
+            parallel_through(line, q)
+        with pytest.raises(FieldMismatchError):
+            line.contains(q)
+        for other in (PlaneLine.vertical(y), PlaneLine.sloped(g.element(2), y)):
+            with pytest.raises(FieldMismatchError):
+                intersect(line, other)
+            with pytest.raises(FieldMismatchError):
+                intersect(other, line)
+    o = PlanePoint(x, f.zero)
+    for chart in (Chart(o, PlanePoint(x, f.one)), Chart(o, PlanePoint(f.zero, f.one))):
+        with pytest.raises(FieldMismatchError):
+            chart.point_at(g.one)
+        with pytest.raises(FieldMismatchError):
+            chart.coordinate(q)
 
 
 # ---------------------------------------------------------------- examples

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import FIELDS, GF5, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
+from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
 from crossratio.plane import (
     AuxiliaryPointError,
     Chart,
@@ -37,7 +37,7 @@ from crossratio.plane import (
     validate_desargues_config,
 )
 from crossratio.fields import GaloisField
-from test_fields import I_Q, J_Q
+from test_fields import I_Q, J_Q, QUATERNION_COEFFS, quaternion_tuples
 
 
 def rp(x, y):
@@ -175,6 +175,113 @@ def test_chart_round_trip_on_vertical_axis():
     p = chart.point_at(t)
     assert p == rp(2, 7)
     assert chart.coordinate(p) == t
+
+
+# ---------------------------------------------------------------- payloads vs Element formulas
+
+# The primitives compute on field payloads.  These are the same formulas
+# written with Element operators: the reference they must agree with.
+
+
+def ref_line_through(p, q):
+    if p == q:
+        raise IdenticalPointsError("no unique line through a repeated point")
+    if p.x == q.x:
+        return PlaneLine.vertical(p.x)
+    m = (q.x - p.x).inv() * (q.y - p.y)
+    return PlaneLine.sloped(m, p.y - p.x * m)
+
+
+def ref_parallel_through(l, p):
+    if l.is_vertical:
+        return PlaneLine.vertical(p.x)
+    return PlaneLine.sloped(l.slope, p.y - p.x * l.slope)
+
+
+def ref_contains(l, p):
+    if l.is_vertical:
+        return p.x == l.intercept
+    return p.y == p.x * l.slope + l.intercept
+
+
+def ref_intersect(l1, l2):
+    if l1 == l2:
+        raise IdenticalLinesError("intersection of a line with itself is the line")
+    if parallel(l1, l2):
+        return None
+    if l1.is_vertical:
+        return PlanePoint(l1.intercept, l1.intercept * l2.slope + l2.intercept)
+    if l2.is_vertical:
+        return PlanePoint(l2.intercept, l2.intercept * l1.slope + l1.intercept)
+    x = (l2.intercept - l1.intercept) * (l1.slope - l2.slope).inv()
+    return PlanePoint(x, x * l1.slope + l1.intercept)
+
+
+def ref_point_at(o, i, t):
+    return PlanePoint(o.x + t * (i.x - o.x), o.y + t * (i.y - o.y))
+
+
+def ref_coordinate(o, i, p):
+    axis = ref_line_through(o, i)
+    if not ref_contains(axis, p):
+        raise NotOnLineError(f"{p} is not on the axis through {o} and {i}")
+    if axis.is_vertical:
+        return (p.y - o.y) * (i.y - o.y).inv()
+    return (p.x - o.x) * (i.x - o.x).inv()
+
+
+def outcome(fn, *args):
+    """What a call returns, or the class and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (IdenticalPointsError, IdenticalLinesError, NotOnLineError) as exc:
+        return type(exc), str(exc)
+
+
+DIFFERENTIAL_ELEMENTS = {
+    "rational": element_strategy(RATIONAL),
+    "gf7": element_strategy(GF7),
+    "gf101": element_strategy(GF101),
+    "quaternion": element_strategy(QUATERNION),
+    "quaternion-256-bit": quaternion_tuples(QUATERNION_COEFFS["256-bit"]).map(QUATERNION.element),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_ELEMENTS)
+@given(data=st.data())
+def test_primitives_match_the_element_formulas(name, data):
+    elements = DIFFERENTIAL_ELEMENTS[name]
+    # coordinates from a pool of three, so repeated points, vertical lines,
+    # parallels and repeated lines come up often
+    pool = data.draw(st.lists(elements, min_size=3, max_size=3))
+    coordinate = st.sampled_from(pool)
+    p, q, r, s = (PlanePoint(data.draw(coordinate), data.draw(coordinate)) for _ in range(4))
+    t = data.draw(elements)
+    assert outcome(line_through, p, p) == outcome(ref_line_through, p, p)
+    lines = [ref_parallel_through(PlaneLine.vertical(p.x), p)]
+    for a, b in ((p, q), (r, s), (p, r)):
+        got = outcome(line_through, a, b)
+        assert got == outcome(ref_line_through, a, b)
+        if isinstance(got, PlaneLine):
+            lines.append(got)
+    for line in list(lines):
+        for a in (p, q, r, s):
+            assert line.contains(a) == ref_contains(line, a)
+        shifted = parallel_through(line, s)
+        assert shifted == ref_parallel_through(line, s)
+        lines.append(shifted)
+    # every ordered pair, a line with itself included: a point, None for
+    # parallels, IdenticalLinesError for one line twice
+    for l1 in lines:
+        for l2 in lines:
+            assert outcome(intersect, l1, l2) == outcome(ref_intersect, l1, l2)
+    for o, i in ((p, q), (q, p), (p, PlanePoint(p.x, q.y))):
+        if o == i:
+            continue
+        chart = Chart(o, i)
+        assert chart.point_at(t) == ref_point_at(o, i, t)
+        for a in (o, i, r, s, chart.point_at(t)):
+            assert outcome(chart.coordinate, a) == outcome(ref_coordinate, o, i, a)
 
 
 # ---------------------------------------------------------------- constructions
