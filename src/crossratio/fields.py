@@ -522,11 +522,41 @@ def field_by_name(name: str) -> Field:
     raise ValueError(f"unknown field selector: {name!r}")
 
 
+def _same_field(xs) -> Field:
+    """The field of xs[0], which every later x in xs must equal (`is`, then `==`)."""
+    field = xs[0].field
+    for x in xs[1:]:
+        if x.field is not field and x.field != field:
+            raise FieldMismatchError(f"mixing elements of {field} and {x.field}")
+    return field
+
+
+def _check_elements(xs) -> None:
+    """TypeError for a non-Element among xs, then FieldMismatchError through _same_field.
+
+    Callers test the common case, Elements of one field instance, inline and
+    call this only off it, as the Element operators call _check.
+    """
+    for x in xs:
+        if not isinstance(x, Element):
+            raise TypeError(f"expected a field element, got {type(x).__name__}")
+    _same_field(xs)
+
+
 def commutes(x: Element, y: Element) -> bool:
     """Whether x*y == y*x."""
-    return x * y == y * x
+    if not (x.__class__ is y.__class__ is Element and x.field is y.field):
+        _check_elements((x, y))
+    f = x.field
+    return f._mul(x.value, y.value) == f._mul(y.value, x.value)
 
 
 def conjugate_by(p: Element, q: Element) -> Element:
     """The conjugate q^-1 * p * q; q must be nonzero."""
-    return q.inv() * p * q
+    if not (p.__class__ is q.__class__ is Element and p.field is q.field):
+        _check_elements((q, p))  # q first: a mismatch names q's field first, as in q^-1 * p
+    f = q.field
+    qv = q.value
+    if f._is_zero(qv):
+        raise DivisionByZeroError(f"cannot invert zero in {f}")
+    return Element(f, f._mul(f._mul(f._inv(qv), p.value), qv))

@@ -10,11 +10,23 @@ kept in exactly this factor order: in a noncommutative field any other
 arrangement is a different point.  The codomain is the line extended by a
 single point at infinity, written ``inf``, which absorbs the 0^-1 cases
 arising when two of the four arguments coincide.
+
+ratio2, ratio3, cross_ratio, cross_ratio_alt and solve_fourth_point compute
+on the field payloads, through the field's own _sub, _mul and _inv, and wrap
+only the value they return in an Element or ExtendedPoint.  Each one checks
+its arguments once, before it looks at their values: a non-Element (for
+cross_ratio, neither an Element nor an ExtendedPoint) raises TypeError, and
+then unequal fields raise FieldMismatchError.  So a call that mixes fields
+raises FieldMismatchError even where its values alone would raise
+DivisionByZeroError or a domain error.  Every coincidence and zero test is
+then decided on payloads, which is exact because equal elements of a field
+have equal payloads, and _inv is called only on a value its branch has
+proven nonzero.
 """
 
 from __future__ import annotations
 
-from .fields import DivisionByZeroError, Element, Field, FieldMismatchError
+from .fields import DivisionByZeroError, Element, Field, _check_elements, _same_field
 
 
 class CrossRatioArgumentError(ValueError):
@@ -74,35 +86,36 @@ class ExtendedPoint:
         return f"<{self.field}: {self}>"
 
 
-def _finite_value(x: Element | ExtendedPoint) -> Element | None:
-    """The element x stands for, or None for the point at infinity."""
+def _payload(x: Element | ExtendedPoint):
+    """The payload of the element x stands for, or None for the point at infinity."""
     if isinstance(x, Element):
-        return x
-    if isinstance(x, ExtendedPoint):
         return x.value
+    if isinstance(x, ExtendedPoint):
+        return None if x.value is None else x.value.value
     raise TypeError(f"expected an element or extended point, got {type(x).__name__}")
-
-
-def _same_field(points: tuple[Element | ExtendedPoint, ...]) -> Field:
-    field = points[0].field
-    for p in points[1:]:
-        if p.field is not field and p.field != field:
-            raise FieldMismatchError(f"mixing elements of {field} and {p.field}")
-    return field
 
 
 def ratio2(a: Element, b: Element) -> Element:
     """2-point ratio r(A:B) = B^-1 * A; requires B != 0."""
-    if b.is_zero:
+    if not (a.__class__ is b.__class__ is Element and a.field is b.field):
+        _check_elements((b, a))  # B first: a mismatch names B's field first, as in B^-1 * A
+    f = b.field
+    pb = b.value
+    if f._is_zero(pb):
         raise DivisionByZeroError("ratio of two points needs a nonzero second point")
-    return b.inv() * a
+    return Element(f, f._mul(f._inv(pb), a.value))
 
 
 def ratio3(a: Element, b: Element, c: Element) -> Element:
     """3-point ratio r(A,B;C) = (B-C)^-1 (A-C); requires B != C."""
-    if b == c:
+    if not (a.__class__ is b.__class__ is c.__class__ is Element and a.field is b.field is c.field):
+        _check_elements((a, b, c))
+    f = a.field
+    pb, pc = b.value, c.value
+    if pb == pc:
         raise DivisionByZeroError("ratio of three points needs B != C")
-    return (b - c).inv() * (a - c)
+    # B - C is nonzero: the test above took B == C
+    return Element(f, f._mul(f._inv(f._sub(pb, pc)), f._sub(a.value, pc)))
 
 
 def cross_ratio(
@@ -122,34 +135,44 @@ def cross_ratio(
     gives 1, then ac or bd gives 0, then ad or bc gives inf, and only four
     distinct finite points reach the defining product.
     """
-    ea, eb, ec, ed = map(_finite_value, (a, b, c, d))  # None is infinity
-    field = _same_field((a, b, c, d))
-    if (ea is None) + (eb is None) + (ec is None) + (ed is None) > 1:
+    pa, pb, pc, pd = _payload(a), _payload(b), _payload(c), _payload(d)  # None is infinity
+    f = a.field
+    if b.field is not f or c.field is not f or d.field is not f:
+        f = _same_field((a, b, c, d))
+    if (pa is None) + (pb is None) + (pc is None) + (pd is None) > 1:
         raise CrossRatioArgumentError("at most one cross-ratio argument may be infinite")
-    # An element never equals None, so a pair with the infinite point is False.
-    ab, ac, ad, bc, bd, cd = ea == eb, ea == ec, ea == ed, eb == ec, eb == ed, ec == ed
+    # No payload equals None, so a pair with the infinite point is False.
+    ab, ac, ad, bc, bd, cd = pa == pb, pa == pc, pa == pd, pb == pc, pb == pd, pc == pd
     if (ab and (bc or bd)) or (cd and (ac or bc)):
         raise CrossRatioArgumentError("no three cross-ratio arguments may coincide")
 
-    if ea is None:  # c_r(inf,B;C,D) = (B-D)(B-C)^-1
-        num, den = eb - ed, eb - ec
-        return ExtendedPoint.infinity(field) if bc else ExtendedPoint.finite(num * den.inv())
-    if eb is None:  # c_r(A,inf;C,D) = (A-D)^-1(A-C)
-        den, num, vanishes = ea - ed, ea - ec, ad
-    elif ec is None:  # c_r(A,B;inf,D) = (A-D)^-1(B-D)
-        den, num, vanishes = ea - ed, eb - ed, ad
-    elif ed is None:  # c_r(A,B;C,inf) = (B-C)^-1(A-C)
-        den, num, vanishes = eb - ec, ea - ec, bc
+    sub, inv = f._sub, f._inv
+    if pa is None:  # c_r(inf,B;C,D) = (B-D)(B-C)^-1
+        if bc:
+            return ExtendedPoint(f, None)
+        # B - C is nonzero: bc is False
+        return ExtendedPoint(f, Element(f, f._mul(sub(pb, pd), inv(sub(pb, pc)))))
+    if pb is None:  # c_r(A,inf;C,D) = (A-D)^-1(A-C)
+        vanishes, den, num = ad, (pa, pd), (pa, pc)
+    elif pc is None:  # c_r(A,B;inf,D) = (A-D)^-1(B-D)
+        vanishes, den, num = ad, (pa, pd), (pb, pd)
+    elif pd is None:  # c_r(A,B;C,inf) = (B-C)^-1(A-C)
+        vanishes, den, num = bc, (pb, pc), (pa, pc)
     elif ab or cd:
-        return ExtendedPoint.finite(field.one)
+        return ExtendedPoint(f, f.one)
     elif ac or bd:
-        return ExtendedPoint.finite(field.zero)
+        return ExtendedPoint(f, f.zero)
     elif ad or bc:
-        return ExtendedPoint.infinity(field)
+        return ExtendedPoint(f, None)
     else:
-        return ExtendedPoint.finite(((ea - ed).inv() * (eb - ed)) * ((eb - ec).inv() * (ea - ec)))
-    # 0^-1 = inf convention
-    return ExtendedPoint.infinity(field) if vanishes else ExtendedPoint.finite(den.inv() * num)
+        # A - D and B - C are nonzero: ad and bc are both False
+        mul = f._mul
+        left = mul(inv(sub(pa, pd)), sub(pb, pd))
+        return ExtendedPoint(f, Element(f, mul(left, mul(inv(sub(pb, pc)), sub(pa, pc)))))
+    if vanishes:  # 0^-1 = inf convention
+        return ExtendedPoint(f, None)
+    # the inverted difference is nonzero: vanishes is False
+    return ExtendedPoint(f, Element(f, f._mul(inv(sub(*den)), sub(*num))))
 
 
 def cross_ratio_alt(a: Element, b: Element, c: Element, d: Element) -> Element:
@@ -158,10 +181,20 @@ def cross_ratio_alt(a: Element, b: Element, c: Element, d: Element) -> Element:
     Evaluates [(A-B)^-1 - (A-D)^-1] * [(A-B)^-1 - (A-C)^-1]^-1, which agrees
     with cross_ratio on every tuple of four pairwise distinct points.
     """
-    if len({a, b, c, d}) != 4:
+    if not (
+        a.__class__ is b.__class__ is c.__class__ is d.__class__ is Element
+        and a.field is b.field is c.field is d.field
+    ):
+        _check_elements((a, b, c, d))
+    f = a.field
+    pa, pb, pc, pd = a.value, b.value, c.value, d.value
+    if len({pa, pb, pc, pd}) != 4:
         raise CrossRatioArgumentError("inverse-difference form needs four distinct points")
-    ab = (a - b).inv()
-    return (ab - (a - d).inv()) * (ab - (a - c).inv()).inv()
+    sub, inv = f._sub, f._inv
+    # Every inverted value is nonzero: A - B, A - C and A - D since the points
+    # are distinct, and (A-B)^-1 - (A-C)^-1 since it vanishes only if B = C.
+    ab = inv(sub(pa, pb))
+    return Element(f, f._mul(sub(ab, inv(sub(pa, pd))), inv(sub(ab, inv(sub(pa, pc))))))
 
 
 def solve_fourth_point(r: Element, a: Element, b: Element, c: Element) -> Element:
@@ -172,11 +205,21 @@ def solve_fourth_point(r: Element, a: Element, b: Element, c: Element) -> Elemen
     D = (A*S - B) * (S - 1)^-1; S = 1 means the solution escaped to
     infinity and raises InfiniteSolutionError.
     """
-    if r.is_zero or r == r.field.one:
+    if not (
+        r.__class__ is a.__class__ is b.__class__ is c.__class__ is Element
+        and r.field is a.field is b.field is c.field
+    ):
+        _check_elements((r, a, b, c))
+    f = r.field
+    one = f._coerce(1)
+    pr = r.value
+    if f._is_zero(pr) or pr == one:
         raise InvalidRatioPointError("the target ratio value must differ from 0 and 1")
-    if len({a, b, c}) != 3:
+    if len({a.value, b.value, c.value}) != 3:
         raise CrossRatioArgumentError("the three given points must be pairwise distinct")
-    s = r * ratio3(a, b, c).inv()
-    if s == s.field.one:
+    # r(A,B;C) = (B-C)^-1 (A-C) is nonzero, since A != C
+    s = f._mul(pr, f._inv(ratio3(a, b, c).value))
+    if s == one:
         raise InfiniteSolutionError("the fourth point for this value lies at infinity")
-    return (a * s - b) * (s - s.field.one).inv()
+    # S - 1 is nonzero: the test above took S == 1
+    return Element(f, f._mul(f._sub(f._mul(a.value, s), b.value), f._inv(f._sub(s, one))))

@@ -28,7 +28,7 @@ from crossratio.fields import (
     field_by_name,
 )
 from crossratio.plane import Chart, PlaneLine, PlanePoint, intersect, line_through, parallel_through
-from crossratio.ratio import ExtendedPoint, cross_ratio
+from crossratio.ratio import ExtendedPoint, cross_ratio, cross_ratio_alt, ratio2, ratio3, solve_fourth_point
 
 
 # ---------------------------------------------------------------- oracles
@@ -182,6 +182,13 @@ def test_equal_field_instances_mix(f, g):
     assert cross_ratio(ExtendedPoint.infinity(f), g.element(2), f.element(5), g.one).value == (
         (g.element(2) - g.one) * (g.element(2) - g.element(5)).inv()
     )
+    # the other ratio functions, commutes and conjugate_by
+    a, b, c = f.element(2), g.element(5), f.element(-1)
+    assert ratio2(a, b) == g.element(2) * g.element(5).inv()
+    assert ratio3(a, b, c) == (g.element(5) - g.element(-1)).inv() * g.element(3)
+    assert cross_ratio_alt(a, b, c, g.element(7)) == cross_ratio(*(g.element(n) for n in (2, 5, -1, 7))).value
+    assert solve_fourth_point(cross_ratio(a, b, c, g.element(7)).value, a, b, c) == f.element(7)
+    assert commutes(a, b) and conjugate_by(a, b) == f.element(2)
     # the plane primitives, on both line kinds
     p, q = PlanePoint(f.one, f.element(2)), PlanePoint(g.element(3), g.element(5))
     line, vertical = line_through(p, q), PlaneLine.vertical(f.element(4))
@@ -219,6 +226,34 @@ def test_different_fields_do_not_mix(f, g):
         cross_ratio(f.element(1), f.element(2), f.element(4), y)
     with pytest.raises(FieldMismatchError):
         cross_ratio(ExtendedPoint.infinity(g), f.element(2), f.element(4), f.element(5))
+    with pytest.raises(FieldMismatchError):
+        cross_ratio(f.element(2), f.element(2), ExtendedPoint.infinity(g), f.element(5))
+    # every ratio function, commutes and conjugate_by: the field check comes
+    # before the value checks, so B = 0, B = C, a repeated point and R in
+    # {0, 1} raise FieldMismatchError when the fields differ
+    one, two, four = f.element(1), f.element(2), f.element(4)
+    mixed_calls = [
+        (ratio2, x, y),
+        (ratio2, y, x),
+        (ratio2, x, g.zero),
+        (ratio3, one, two, y),
+        (ratio3, y, one, two),
+        (ratio3, one, y, y),
+        (cross_ratio_alt, one, two, four, y),
+        (cross_ratio_alt, one, one, two, y),
+        (solve_fourth_point, y, two, x, one),  # R from another field
+        (solve_fourth_point, g.zero, two, x, one),
+        (solve_fourth_point, g.one, two, x, one),
+        (solve_fourth_point, x, g.element(2), x, one),  # A from another field
+        (solve_fourth_point, x, two, two, g.one),
+        (commutes, x, y),
+        (commutes, y, x),
+        (conjugate_by, x, y),
+        (conjugate_by, x, g.zero),
+    ]
+    for fn, *args in mixed_calls:
+        with pytest.raises(FieldMismatchError):
+            fn(*args)
     # every plane primitive, on both line kinds: the field check comes
     # before the branch on the line's kind
     q = PlanePoint(y, g.one)
@@ -241,6 +276,33 @@ def test_different_fields_do_not_mix(f, g):
             chart.point_at(g.one)
         with pytest.raises(FieldMismatchError):
             chart.coordinate(q)
+
+
+def test_ratio_functions_reject_non_elements():
+    a, b, c, d = (GF7.element(n) for n in (1, 2, 4, 5))
+    for bad in (3, ExtendedPoint.finite(GF7.element(3))):
+        calls = [
+            (ratio2, bad, b),
+            (ratio2, a, bad),
+            (ratio3, bad, b, c),
+            (ratio3, a, bad, c),
+            (ratio3, a, b, bad),
+            (cross_ratio_alt, bad, b, c, d),
+            (cross_ratio_alt, a, b, c, bad),
+            (solve_fourth_point, bad, a, b, c),
+            (solve_fourth_point, d, bad, b, c),
+            (solve_fourth_point, d, a, b, bad),
+            (commutes, bad, b),
+            (commutes, a, bad),
+            (conjugate_by, bad, b),
+            (conjugate_by, a, bad),
+        ]
+        for fn, *args in calls:
+            with pytest.raises(TypeError, match=f"^expected a field element, got {type(bad).__name__}$"):
+                fn(*args)
+    for args in ((3, b, c, d), (a, b, c, 3)):
+        with pytest.raises(TypeError, match="^expected an element or extended point, got int$"):
+            cross_ratio(*args)
 
 
 # ---------------------------------------------------------------- examples

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, field_and_elements
-from crossratio.fields import DivisionByZeroError, FieldMismatchError
+from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
+from crossratio.fields import DivisionByZeroError, Element, FieldMismatchError, commutes, conjugate_by
 from crossratio.ratio import (
     CrossRatioArgumentError,
     ExtendedPoint,
@@ -25,7 +25,7 @@ from crossratio.ratio import (
     ratio3,
     solve_fourth_point,
 )
-from test_fields import I_Q, J_Q, K_Q, q_inv, q_mul, q_parts
+from test_fields import I_Q, J_Q, K_Q, QUATERNION_COEFFS, q_inv, q_mul, q_parts, quaternion_tuples
 
 
 def fraction_cross_ratio(a, b, c, d):
@@ -308,6 +308,124 @@ def test_cross_ratio_matches_reference_on_every_pattern(fld):
     lookup = dict(zip("ABCD", xs), **{"*": ExtendedPoint.infinity(fld)})
     for pattern in PATTERNS:
         assert_agrees_with_reference([lookup[ch] for ch in pattern])
+
+
+# ---------------------------------------------------------------- payloads vs Element formulas
+
+# The ratio functions, commutes and conjugate_by compute on field payloads.
+# These are the same formulas written with Element operators: the reference
+# they must agree with, result for result and error for error.
+
+
+def reference_ratio2(a, b):
+    if b.is_zero:
+        raise DivisionByZeroError("ratio of two points needs a nonzero second point")
+    return b.inv() * a
+
+
+def reference_ratio3(a, b, c):
+    if b == c:
+        raise DivisionByZeroError("ratio of three points needs B != C")
+    return (b - c).inv() * (a - c)
+
+
+def reference_cross_ratio_alt(a, b, c, d):
+    if len({a, b, c, d}) != 4:
+        raise CrossRatioArgumentError("inverse-difference form needs four distinct points")
+    ab = (a - b).inv()
+    return (ab - (a - d).inv()) * (ab - (a - c).inv()).inv()
+
+
+def reference_solve_fourth_point(r, a, b, c):
+    if r.is_zero or r == r.field.one:
+        raise InvalidRatioPointError("the target ratio value must differ from 0 and 1")
+    if len({a, b, c}) != 3:
+        raise CrossRatioArgumentError("the three given points must be pairwise distinct")
+    s = r * reference_ratio3(a, b, c).inv()
+    if s == s.field.one:
+        raise InfiniteSolutionError("the fourth point for this value lies at infinity")
+    return (a * s - b) * (s - s.field.one).inv()
+
+
+def reference_commutes(x, y):
+    return x * y == y * x
+
+
+def reference_conjugate_by(p, q):
+    return q.inv() * p * q
+
+
+def assert_same_outcome(fn, reference, args):
+    """fn and reference return equal values of one type, or raise the same class and message."""
+    got, want = outcome(fn, args), outcome(reference, args)
+    assert type(got) is type(want)
+    assert got == want and str(got) == str(want)
+    return got
+
+
+def assert_every_function_agrees(r, a, b, c, d):
+    """Each payload function against its reference, on arguments drawn from r, a, b, c, d."""
+    for x, y in ((a, b), (b, a), (a, a), (d, a)):
+        assert_same_outcome(ratio2, reference_ratio2, (x, y))
+        assert_same_outcome(commutes, reference_commutes, (x, y))
+        assert_same_outcome(conjugate_by, reference_conjugate_by, (x, y))
+    for args in ((a, b, c), (b, c, a), (a, b, b), (a, b, a)):
+        assert_same_outcome(ratio3, reference_ratio3, args)
+    for args in ((a, b, c, d), (d, c, b, a), (a, b, c, c)):
+        assert_same_outcome(cross_ratio_alt, reference_cross_ratio_alt, args)
+        assert_agrees_with_reference(args)
+    # r as drawn, then the values that make the solver raise: 0, 1, and
+    # r(A,B;C), whose fourth point lies at infinity
+    r3 = outcome(reference_ratio3, (a, b, c))
+    targets = [r, a.field.zero, a.field.one] + ([r3] if isinstance(r3, Element) else [])
+    for target in targets:
+        for args in ((target, a, b, c), (target, a, b, b)):
+            assert_same_outcome(solve_fourth_point, reference_solve_fourth_point, args)
+
+
+DIFFERENTIAL_FIELDS = {
+    "rational": (RATIONAL, element_strategy(RATIONAL)),
+    "gf7": (GF7, element_strategy(GF7)),
+    "gf101": (GF101, element_strategy(GF101)),
+    "quaternion": (QUATERNION, element_strategy(QUATERNION)),
+    "quaternion-256-bit": (
+        QUATERNION,
+        quaternion_tuples(QUATERNION_COEFFS["256-bit"]).map(QUATERNION.element),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_FIELDS)
+@given(data=st.data())
+def test_ratio_functions_match_the_element_formulas(name, data):
+    fld, elements = DIFFERENTIAL_FIELDS[name]
+    # arguments from a pool of four draws plus 0 and 1, so coincidences,
+    # zero divisors and the values 0 and 1 come up often
+    pool = data.draw(st.lists(elements, min_size=4, max_size=4)) + [fld.zero, fld.one]
+    r, a, b, c, d = (data.draw(st.sampled_from(pool)) for _ in range(5))
+    assert_every_function_agrees(r, a, b, c, d)
+
+
+def test_ratio_functions_match_the_element_formulas_on_gf5():
+    elements = GF5.elements()
+    outcomes = []
+    for x, y in itertools.product(elements, repeat=2):
+        outcomes.append(assert_same_outcome(ratio2, reference_ratio2, (x, y)))
+        outcomes.append(assert_same_outcome(commutes, reference_commutes, (x, y)))
+        outcomes.append(assert_same_outcome(conjugate_by, reference_conjugate_by, (x, y)))
+    for args in itertools.product(elements, repeat=3):
+        outcomes.append(assert_same_outcome(ratio3, reference_ratio3, args))
+    for args in itertools.product(elements, repeat=4):
+        outcomes.append(assert_same_outcome(cross_ratio_alt, reference_cross_ratio_alt, args))
+        outcomes.append(assert_same_outcome(solve_fourth_point, reference_solve_fourth_point, args))
+    # every error the functions can raise on one field came up
+    raised = {result[0] for result in outcomes if isinstance(result, tuple)}
+    assert raised == {
+        DivisionByZeroError,
+        CrossRatioArgumentError,
+        InvalidRatioPointError,
+        InfiniteSolutionError,
+    }
 
 
 # ---------------------------------------------------------------- solving
