@@ -9,6 +9,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -246,20 +247,56 @@ def test_verify_writes_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["passed"] is True
 
 
-def test_verify_unwritable_output_is_io_error(capsys):
+def without_timestamp(data: bytes) -> bytes:
+    """The bytes of a JSON report with its one timestamp line masked."""
+    masked, count = re.subn(rb'(?m)^  "timestamp": ".*",$', b'  "timestamp": "-",', data)
+    assert count == 1
+    return masked
+
+
+def test_verify_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    argv = ("verify", "--field", "quaternion", "--seed", "42", "--samples", "2", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "quaternion.json"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and printed == ""
+    assert without_timestamp(target.read_bytes()) == without_timestamp(out.encode())
+
+
+def test_verify_unwritable_output_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,
         "verify", "--field", "gf:5", "--seed", "1", "--samples", "3",
         "--out", "/nonexistent-dir/report.json",
     )
     assert code == 5
+    # --out naming an existing directory fails the same way and writes nothing into it
+    code, out, err = run_cli(
+        capsys, "verify", "--field", "gf:5", "--samples", "2", "--out", str(tmp_path)
+    )
+    assert code == 5 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("field", ["gf:2", "gf:3"])
-def test_verify_over_a_tiny_field_is_a_config_error(capsys, field):
-    code, out, err = run_cli(capsys, "verify", "--field", field)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--field", "gf:2"),
+        ("--field", "gf:3"),
+        ("--field", "gf:4"),
+        ("--field", "nope"),
+        ("--samples", "0"),
+    ],
+    ids=["gf:2", "gf:3", "gf:4", "nope", "no-samples"],
+)
+def test_verify_over_a_tiny_field_is_a_config_error(tmp_path, capsys, argv):
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", *argv, "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------- construct
