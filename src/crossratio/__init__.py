@@ -5,7 +5,9 @@ prime fields, rational quaternions), the ratio and cross-ratio calculus on
 a coordinatized line including the point at infinity, ruler constructions
 realizing field arithmetic inside the affine plane, a Desargues
 configuration checker and generator, and a seeded exact verification
-engine with machine-readable reports.
+engine with machine-readable reports.  The verification engine is imported
+from crossratio.verify (CHECKS, run_check, run_suite and their errors), so
+importing the package does not load it.
 """
 
 from .fields import (
@@ -59,13 +61,6 @@ from .ratio import (
     ratio2,
     ratio3,
     solve_fourth_point,
-)
-from .verify import (
-    CHECKS,
-    NoValidInputError,
-    UnknownCheckError,
-    run_check,
-    run_suite,
 )
 
 __version__ = "0.1.0"

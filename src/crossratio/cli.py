@@ -15,14 +15,17 @@ input (gf:2 and gf:3), and a `desargues --count` below 1.
 `main(argv)` may be called repeatedly in one process: it parses with one
 parser, built on its first call and reused after, since argparse leaves a
 parser unchanged while parsing.  `build_parser()` returns a fresh parser.
+
+Importing this module loads only what every subcommand needs.  A
+subcommand's own dependencies load when it runs: verify imports the
+verification engine, construct --svg the SVG renderer, desargues hashlib.
+This keeps a one-shot process short.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import hashlib
 import json
 import sys
 
@@ -37,6 +40,7 @@ from .plane import (
     AuxiliaryPointError,
     Chart,
     DegenerateConfigurationError,
+    DesarguesConfig,
     GenerationFailureError,
     HypothesisViolationError,
     IdenticalLinesError,
@@ -57,8 +61,6 @@ from .ratio import (
     cross_ratio,
     solve_fourth_point,
 )
-from .svg import render_construction
-from .verify import run_suite
 
 _PRECONDITION_ERRORS = (
     CrossRatioArgumentError,
@@ -143,6 +145,8 @@ def format_report(report: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     field = field_by_name(args.field)
     report = run_suite(field, args.seed, args.samples)
     _emit(json.dumps(report, indent=2) if args.fmt == "json" else format_report(report), args.out)
@@ -165,6 +169,8 @@ def _cmd_construct(args) -> int:
             raise DegenerateConfigurationError(
                 "SVG output is limited to the rational plane"
             )
+        from .svg import render_construction
+
         figure = render_construction(trace)  # before open(), so a failure leaves no file
         with open(args.svg, "w", encoding="utf-8") as sink:
             sink.write(figure)
@@ -193,10 +199,12 @@ def _cmd_construct(args) -> int:
 def _tamper(cfg):
     one = cfg.c_prime.field.one
     moved = PlanePoint(cfg.c_prime.x + one, cfg.c_prime.y + one)
-    return dataclasses.replace(cfg, c_prime=moved)
+    return DesarguesConfig(cfg.a, cfg.b, cfg.c, cfg.a_prime, cfg.b_prime, moved, cfg.center)
 
 
 def _cmd_desargues(args) -> int:
+    import hashlib
+
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     field = field_by_name(args.field)

@@ -28,7 +28,6 @@ FieldMismatchError, on a vertical line as on a sloped one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .fields import DivisionByZeroError, Element, Field, FieldMismatchError
 
@@ -61,16 +60,16 @@ class GenerationFailureError(RuntimeError):
     """The configuration generator exhausted its retry budget."""
 
 
-@dataclass(frozen=True)
 class PlanePoint:
     """A point of K^2; both coordinates must come from the same field."""
 
-    x: Element
-    y: Element
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if self.x.field is not self.y.field and self.x.field != self.y.field:
+    def __init__(self, x: Element, y: Element):
+        if x.field is not y.field and x.field != y.field:
             raise FieldMismatchError("point coordinates must share a field")
+        self.x = x
+        self.y = y
 
     @property
     def field(self) -> Field:
@@ -78,6 +77,15 @@ class PlanePoint:
 
     def __str__(self):
         return f"{self.x},{self.y}"
+
+    def __eq__(self, other):
+        if other.__class__ is not PlanePoint:
+            return NotImplemented
+        # A tuple compares identical coordinates without calling Element.__eq__
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def __repr__(self):
         return f"PlanePoint({self.x}, {self.y})"
@@ -240,14 +248,29 @@ class Chart:
         return Element(f, f._mul(f._sub(along, base), f._inv(f._sub(unit, base))))
 
 
-@dataclass(frozen=True)
 class Construction:
     """A ruler construction trace: labeled points, labeled lines, result."""
 
-    kind: str
-    points: dict[str, PlanePoint]
-    lines: list[tuple[str, PlaneLine]]
-    result: PlanePoint
+    __slots__ = ("kind", "points", "lines", "result")
+
+    def __init__(
+        self,
+        kind: str,
+        points: dict[str, PlanePoint],
+        lines: list[tuple[str, PlaneLine]],
+        result: PlanePoint,
+    ):
+        self.kind = kind
+        self.points = points
+        self.lines = lines
+        self.result = result
+
+    def __eq__(self, other):
+        if other.__class__ is not Construction:
+            return NotImplemented
+        return (self.kind, self.points, self.lines, self.result) == (
+            other.kind, other.points, other.lines, other.result
+        )
 
 
 def _meet(l1: PlaneLine, l2: PlaneLine, stage: str) -> PlanePoint:
@@ -347,7 +370,6 @@ def default_aux(chart: Chart) -> PlanePoint:
     raise DegenerateConfigurationError("no off-axis point found")  # unreachable
 
 
-@dataclass(frozen=True)
 class DesarguesConfig:
     """Two triangles in parallel or central perspective.
 
@@ -355,13 +377,25 @@ class DesarguesConfig:
     point of the three vertex-joining lines for the central form.
     """
 
-    a: PlanePoint
-    b: PlanePoint
-    c: PlanePoint
-    a_prime: PlanePoint
-    b_prime: PlanePoint
-    c_prime: PlanePoint
-    center: PlanePoint | None = None
+    __slots__ = ("a", "b", "c", "a_prime", "b_prime", "c_prime", "center")
+
+    def __init__(
+        self,
+        a: PlanePoint,
+        b: PlanePoint,
+        c: PlanePoint,
+        a_prime: PlanePoint,
+        b_prime: PlanePoint,
+        c_prime: PlanePoint,
+        center: PlanePoint | None = None,
+    ):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.a_prime = a_prime
+        self.b_prime = b_prime
+        self.c_prime = c_prime
+        self.center = center
 
     def canonical(self) -> str:
         parts = [

@@ -25,7 +25,6 @@ import datetime
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .fields import (
@@ -73,15 +72,26 @@ class NoValidInputError(ValueError):
     """The field offers a check no input tuple that meets its preconditions."""
 
 
-@dataclass(frozen=True)
 class CheckDef:
-    name: str
-    description: str
-    scope: str = "all"  # all | commutative | noncommutative | quaternion
-    kind: str = "equality"  # equality | witness-search
-    draw: Callable | None = None  # (field, rng) -> inputs tuple, or None to redraw
-    evaluate: Callable | None = None  # (field, inputs) -> list of witness dicts
-    enumerate_inputs: Callable[[Field], Iterator] | None = None
+    __slots__ = ("name", "description", "scope", "kind", "draw", "evaluate", "enumerate_inputs")
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        scope: str = "all",  # all | commutative | noncommutative | quaternion
+        kind: str = "equality",  # equality | witness-search
+        draw: Callable | None = None,  # (field, rng) -> inputs tuple, or None to redraw
+        evaluate: Callable | None = None,  # (field, inputs) -> list of witness dicts
+        enumerate_inputs: Callable[[Field], Iterator] | None = None,
+    ):
+        self.name = name
+        self.description = description
+        self.scope = scope
+        self.kind = kind
+        self.draw = draw
+        self.evaluate = evaluate
+        self.enumerate_inputs = enumerate_inputs
 
 
 CHECKS: dict[str, CheckDef] = {}

@@ -4,7 +4,6 @@ Every criterion reports one PASS/FAIL line in the terminal summary.  All
 comparisons are exact; there are no tolerances anywhere in this file.
 """
 
-import dataclasses
 import json
 import random
 
@@ -20,6 +19,7 @@ from conftest import (
     swapped_inverse_form_matches,
 )
 from crossratio.plane import (
+    DesarguesConfig,
     HypothesisViolationError,
     PlanePoint,
     check_desargues,
@@ -168,7 +168,10 @@ def test_criterion_08_desargues():
         for mode in ("parallel", "concurrent"):
             cfg = generate_desargues_config(field, seed=SEED, mode=mode)
             moved = PlanePoint(cfg.c_prime.x + field.one, cfg.c_prime.y + field.one)
-            tampered = dataclasses.replace(cfg, c_prime=moved)
+            tampered = DesarguesConfig(
+                a=cfg.a, b=cfg.b, c=cfg.c,
+                a_prime=cfg.a_prime, b_prime=cfg.b_prime, c_prime=moved, center=cfg.center,
+            )
             try:
                 detected = check_desargues(tampered) is False
             except HypothesisViolationError:

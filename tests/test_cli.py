@@ -630,3 +630,62 @@ def test_help_is_the_parser_help(capsys):
 
 def test_build_parser_returns_a_fresh_parser():
     assert build_parser() is not build_parser()
+
+
+# ---------------------------------------------------------------- cold start
+
+# Runs in a fresh interpreter.  Modules already loaded before the import
+# (site may preload some) are not charged to the CLI.
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+preloaded = set(sys.modules)
+import crossratio.cli
+crossratio.cli.build_parser()
+lazy = ("crossratio.verify", "crossratio.svg", "dataclasses", "hashlib", "datetime")
+loaded = [name for name in lazy if name in sys.modules and name not in preloaded]
+answers = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = crossratio.cli.main(argv)
+    answers.append([code, out.getvalue()])
+print(json.dumps({"loaded": loaded, "answers": answers}))
+"""
+
+
+def test_import_loads_no_subcommand_dependencies(tmp_path):
+    figure = tmp_path / "figure.svg"
+    requests = [
+        ["desargues", "--field", "rational", "--count", "3", "--seed", "7", "--format", "json"],
+        [
+            "construct", "add", "--O", "0,0", "--I", "1,0", "--A", "2,0", "--B", "3,0",
+            "--aux", "0,1", "--svg", str(figure),
+        ],
+        ["verify", "--field", "gf:5", "--seed", "7", "--samples", "25"],
+    ]
+    src = str(pathlib.Path(crossratio.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, json.dumps(requests)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    (des_code, des_out), (con_code, con_out), (ver_code, ver_out) = result["answers"]
+    assert des_code == 0
+    assert sha256(des_out) == "b40b9e9ec4776848e3685b238964595d61bd16859406ac23aedb6f6169110bc5"
+    assert con_code == 0 and con_out == (
+        "line [axis]: y = x*(0) + (0)\n"
+        "line [O-B1]: x = 0\n"
+        "line [axis parallel through B1]: y = x*(0) + (1)\n"
+        "line [O-B1 parallel through A]: x = 2\n"
+        "line [B-B1]: y = x*(-1/3) + (1)\n"
+        "line [B-B1 parallel through P1]: y = x*(-1/3) + (5/3)\n"
+        "P1 = 2,1\n"
+        "C has coordinate 5\n"
+        "5,0\n"
+    )
+    assert sha256(figure.read_text()) == "88abda1eccd3bc9ebe9d2799a583805a17417722013af2c40f05674805cbc911"
+    assert ver_code == 0 and sha256(ver_out) == TEXT_DIGESTS[("gf:5", "25")]

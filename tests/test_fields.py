@@ -173,7 +173,7 @@ def test_equal_field_instances_mix(f, g):
     assert x == y and y == x and hash(x) == hash(y)  # Element.__eq__, __hash__
     assert x + y == g.element(6) and x - y == g.zero and x * y == g.element(9)  # Element._check
     assert g.element(x) is x  # Field.element
-    assert PlanePoint(x, g.one).y == f.one  # PlanePoint.__post_init__
+    assert PlanePoint(x, g.one).y == f.one  # PlanePoint.__init__
     fx, gy = ExtendedPoint.finite(x), ExtendedPoint.finite(y)
     assert fx == gy and hash(fx) == hash(gy)  # ExtendedPoint.__eq__
     assert ExtendedPoint.infinity(f) == ExtendedPoint.infinity(g)
@@ -218,7 +218,7 @@ def test_different_fields_do_not_mix(f, g):
             getattr(x, op)(y)
     with pytest.raises(FieldMismatchError):  # Field.element
         g.element(x)
-    with pytest.raises(FieldMismatchError):  # PlanePoint.__post_init__
+    with pytest.raises(FieldMismatchError):  # PlanePoint.__init__
         PlanePoint(x, g.one)
     assert ExtendedPoint.finite(x) != ExtendedPoint.finite(y)  # ExtendedPoint.__eq__
     assert ExtendedPoint.infinity(f) != ExtendedPoint.infinity(g)

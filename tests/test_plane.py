@@ -36,12 +36,34 @@ from crossratio.plane import (
     point,
     validate_desargues_config,
 )
-from crossratio.fields import GaloisField
+from crossratio.fields import FieldMismatchError, GaloisField
 from test_fields import I_Q, J_Q, QUATERNION_COEFFS, quaternion_tuples
 
 
 def rp(x, y):
     return point(RATIONAL, x, y)
+
+
+# ---------------------------------------------------------------- value semantics
+
+
+def test_plane_point_is_a_value():
+    p, q = rp(1, 2), rp(1, 2)
+    assert p is not q and p == q and not p != q
+    assert hash(p) == hash((p.x, p.y)) == hash(q)
+    assert p != rp(2, 1) and len({p, q, rp(2, 1)}) == 2
+    assert (p == (p.x, p.y)) is False  # not a tuple
+    with pytest.raises(FieldMismatchError, match="^point coordinates must share a field$"):
+        PlanePoint(RATIONAL.one, GF7.one)
+
+
+def test_construction_traces_compare_by_value():
+    chart = Chart(rp(0, 0), rp(1, 0))
+    a, b, aux = rp(2, 0), rp(3, 0), rp(0, 1)
+    first, second = construct_sum(chart, a, b, aux), construct_sum(chart, a, b, aux)
+    assert first is not second and first == second and not first != second
+    assert first != construct_product(chart, a, b, aux)
+    assert first != construct_sum(chart, a, b, rp(1, 1))
 
 
 # ---------------------------------------------------------------- lines
@@ -443,9 +465,10 @@ def test_desargues_concurrent_mode_example():
 
 def test_desargues_rejects_equal_vertices():
     cfg = parallel_mode_example()
-    import dataclasses
-
-    broken = dataclasses.replace(cfg, c=cfg.a)
+    broken = DesarguesConfig(
+        a=cfg.a, b=cfg.b, c=cfg.a,
+        a_prime=cfg.a_prime, b_prime=cfg.b_prime, c_prime=cfg.c_prime, center=cfg.center,
+    )
     with pytest.raises(HypothesisViolationError, match="pairwise distinct"):
         check_desargues(broken)
 
@@ -461,34 +484,38 @@ def test_desargues_rejects_shared_side_line():
 
 
 def test_desargues_rejects_wrong_mode_data():
-    import dataclasses
-
     cfg = parallel_mode_example()
     # skew the A join so the three vertex joins are no longer parallel
-    broken = dataclasses.replace(cfg, a_prime=rp(2, 0))
+    broken = DesarguesConfig(
+        a=cfg.a, b=cfg.b, c=cfg.c,
+        a_prime=rp(2, 0), b_prime=cfg.b_prime, c_prime=cfg.c_prime, center=cfg.center,
+    )
     with pytest.raises(HypothesisViolationError):
         check_desargues(broken)
 
 
 def test_desargues_conclusion_skips_the_hypotheses():
-    import dataclasses
-
     assert desargues_conclusion(parallel_mode_example())
     assert desargues_conclusion(concurrent_mode_example())
     # AC has slope 1 and A'C' slope 2; the vertex joins are not parallel,
     # which only check_desargues reports
-    broken = dataclasses.replace(parallel_mode_example(), a_prime=rp(2, 0))
+    cfg = parallel_mode_example()
+    broken = DesarguesConfig(
+        a=cfg.a, b=cfg.b, c=cfg.c,
+        a_prime=rp(2, 0), b_prime=cfg.b_prime, c_prime=cfg.c_prime, center=cfg.center,
+    )
     assert desargues_conclusion(broken) is False
     with pytest.raises(HypothesisViolationError):
         check_desargues(broken)
 
 
 def test_desargues_tamper_is_detected(field):
-    import dataclasses
-
     cfg = generate_desargues_config(field, seed=11, mode="parallel")
     moved = PlanePoint(cfg.c_prime.x + field.one, cfg.c_prime.y + field.one)
-    tampered = dataclasses.replace(cfg, c_prime=moved)
+    tampered = DesarguesConfig(
+        a=cfg.a, b=cfg.b, c=cfg.c,
+        a_prime=cfg.a_prime, b_prime=cfg.b_prime, c_prime=moved, center=cfg.center,
+    )
     try:
         assert check_desargues(tampered) is False
     except HypothesisViolationError:

@@ -131,6 +131,24 @@ def test_noncommutativity_witness_found_over_quaternions():
     assert wit["lhs"] != wit["rhs"]
 
 
+def test_check_def_defaults():
+    def draw(field, rng):
+        return ()
+
+    def evaluate(field, inputs):
+        return []
+
+    check = CheckDef(name="probe", description="a probe", draw=draw, evaluate=evaluate)
+    assert (check.name, check.description, check.draw, check.evaluate) == (
+        "probe", "a probe", draw, evaluate
+    )
+    assert (check.scope, check.kind, check.enumerate_inputs) == ("all", "equality", None)
+    positional = CheckDef("probe", "a probe", "quaternion", "witness-search", draw, evaluate, list)
+    assert (positional.scope, positional.kind, positional.enumerate_inputs) == (
+        "quaternion", "witness-search", list
+    )
+
+
 # ---------------------------------------------------------------- failing checks
 
 
