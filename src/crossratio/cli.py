@@ -5,8 +5,10 @@ takes --field, --format and --out; verify also takes --seed and --samples,
 desargues --seed.  Results are exact at any size: the CLI lifts Python's
 limit on the digits of an int printed in decimal.  Exit codes are
 stable: 0 success, 2 unparseable input or bad configuration, 3 violated
-precondition, 4 a fourth point that exists only at infinity, 5 I/O failure.
-A verification or Desargues run that completes but finds failures exits 1.
+precondition (any fields.PreconditionError), 4 a fourth point that exists
+only at infinity (InfiniteSolutionError, a PreconditionError caught
+first), 5 I/O failure.  A verification or Desargues run that completes but
+finds failures exits 1.
 
 Bad configuration includes a GF modulus of PRIME_TEST_LIMIT (about
 3.3e24) or more, a `verify` field too small to give some check any valid
@@ -28,23 +30,13 @@ import functools
 import json
 import sys
 
-from .fields import (
-    DivisionByZeroError,
-    Field,
-    FieldMismatchError,
-    RationalField,
-    field_by_name,
-)
+from .fields import Field, PreconditionError, RationalField, field_by_name
 from .plane import (
-    AuxiliaryPointError,
     Chart,
     DegenerateConfigurationError,
     DesarguesConfig,
     GenerationFailureError,
     HypothesisViolationError,
-    IdenticalLinesError,
-    IdenticalPointsError,
-    NotOnLineError,
     PlanePoint,
     check_desargues,
     construct_product,
@@ -52,27 +44,8 @@ from .plane import (
     default_aux,
     generate_desargues_config,
 )
-from .ratio import (
-    CrossRatioArgumentError,
-    ExtendedPoint,
-    InfiniteSolutionError,
-    InvalidRatioPointError,
-    cross_ratio,
-    solve_fourth_point,
-)
+from .ratio import ExtendedPoint, InfiniteSolutionError, cross_ratio, solve_fourth_point
 from .svg import render_construction
-
-_PRECONDITION_ERRORS = (
-    CrossRatioArgumentError,
-    InvalidRatioPointError,
-    DivisionByZeroError,
-    FieldMismatchError,
-    IdenticalPointsError,
-    IdenticalLinesError,
-    NotOnLineError,
-    AuxiliaryPointError,
-    DegenerateConfigurationError,
-)
 
 
 def _parse_point(field: Field, text: str) -> PlanePoint:
@@ -316,7 +289,7 @@ def main(argv=None) -> int:
     except InfiniteSolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -63,11 +63,15 @@ def _random_fraction_terms(getrandbits) -> tuple[int, int]:
     return r - RANDOM_COEFF_BOUND, s + 1
 
 
-class FieldMismatchError(ValueError):
+class PreconditionError(ValueError):
+    """Base of every error raised for input that breaks a stated precondition (CLI exit 3)."""
+
+
+class FieldMismatchError(PreconditionError):
     """Binary operation applied to elements of unequal fields."""
 
 
-class DivisionByZeroError(ZeroDivisionError):
+class DivisionByZeroError(PreconditionError, ZeroDivisionError):
     """Multiplicative inverse of the zero element was requested."""
 
 
@@ -90,23 +94,16 @@ class Element:
             raise DivisionByZeroError(f"cannot invert zero in {self.field}")
         return Element(self.field, self.field._inv(self.value))
 
-    def _check(self, other) -> "Element":
-        if not isinstance(other, Element):
-            raise TypeError(f"expected a field element, got {type(other).__name__}")
-        if other.field is not self.field and other.field != self.field:
-            raise FieldMismatchError(f"mixing elements of {self.field} and {other.field}")
-        return other
-
-    # The binary ops call _check only off the common path of an Element of
-    # the very same field instance, saving a Python call per operation.
+    # The binary ops call _check_elements only off the common path of an
+    # Element of the very same field instance, saving a Python call per operation.
     def __add__(self, other):
         if other.__class__ is not Element or other.field is not self.field:
-            other = self._check(other)
+            _check_elements((self, other))
         return Element(self.field, self.field._add(self.value, other.value))
 
     def __sub__(self, other):
         if other.__class__ is not Element or other.field is not self.field:
-            other = self._check(other)
+            _check_elements((self, other))
         return Element(self.field, self.field._sub(self.value, other.value))
 
     def __neg__(self):
@@ -114,7 +111,7 @@ class Element:
 
     def __mul__(self, other):
         if other.__class__ is not Element or other.field is not self.field:
-            other = self._check(other)
+            _check_elements((self, other))
         return Element(self.field, self.field._mul(self.value, other.value))
 
     def __eq__(self, other):
@@ -535,7 +532,7 @@ def _check_elements(xs) -> None:
     """TypeError for a non-Element among xs, then FieldMismatchError through _same_field.
 
     Callers test the common case, Elements of one field instance, inline and
-    call this only off it, as the Element operators call _check.
+    call this only off it.
     """
     for x in xs:
         if not isinstance(x, Element):

@@ -29,26 +29,28 @@ from __future__ import annotations
 
 import random
 
-from .fields import DivisionByZeroError, Element, Field, FieldMismatchError
+from .fields import (
+    DivisionByZeroError, Element, Field, FieldMismatchError, PreconditionError, _check_elements
+)
 
 
-class IdenticalPointsError(ValueError):
+class IdenticalPointsError(PreconditionError):
     """Two points required to be distinct coincide."""
 
 
-class IdenticalLinesError(ValueError):
+class IdenticalLinesError(PreconditionError):
     """Two lines required to be distinct coincide."""
 
 
-class NotOnLineError(ValueError):
+class NotOnLineError(PreconditionError):
     """A point required to lie on a line does not."""
 
 
-class AuxiliaryPointError(ValueError):
+class AuxiliaryPointError(PreconditionError):
     """The construction's auxiliary point lies on the axis."""
 
 
-class DegenerateConfigurationError(ValueError):
+class DegenerateConfigurationError(PreconditionError):
     """A construction step needed an intersection that does not exist."""
 
 
@@ -226,7 +228,7 @@ class Chart:
         o, i = self.o, self.i
         f = o.x.field
         if t.__class__ is not Element or t.field is not f:
-            t = o.x._check(t)  # TypeError or FieldMismatchError, as Element's operators raise
+            _check_elements((o.x, t))  # the TypeError or FieldMismatchError of Element's operators
         t, ox, oy = t.value, o.x.value, o.y.value
         return PlanePoint(
             Element(f, f._add(ox, f._mul(t, f._sub(i.x.value, ox)))),
@@ -463,6 +465,10 @@ def random_point(field: Field, rng: random.Random) -> PlanePoint:
 
 
 def _draw_config(field: Field, rng: random.Random, mode: str) -> DesarguesConfig | None:
+    # No intersect below returns None: its two lines are parallel only when
+    # they are one line (in parallel mode, L(a2 || AB) || L(b || AA') forces
+    # AA' = AB, so both lines are AB), and then it raises IdenticalLinesError,
+    # which generate_desargues_config retries on.
     a, b, c = (random_point(field, rng) for _ in range(3))
     if collinear(a, b, c):
         return None
@@ -474,11 +480,7 @@ def _draw_config(field: Field, rng: random.Random, mode: str) -> DesarguesConfig
         a2 = _shift(a, dx, dy)
         join = line_through(a, a2)
         b2 = intersect(parallel_through(side_ab, a2), parallel_through(join, b))
-        if b2 is None:
-            return None
         c2 = intersect(parallel_through(side_bc, b2), parallel_through(join, c))
-        if c2 is None:
-            return None
         return DesarguesConfig(a, b, c, a2, b2, c2, center=None)
     p = random_point(field, rng)
     alpha = field.random_element(rng)
@@ -486,11 +488,7 @@ def _draw_config(field: Field, rng: random.Random, mode: str) -> DesarguesConfig
         return None
     a2 = PlanePoint(p.x + alpha * (a.x - p.x), p.y + alpha * (a.y - p.y))
     b2 = intersect(parallel_through(side_ab, a2), line_through(p, b))
-    if b2 is None:
-        return None
     c2 = intersect(parallel_through(side_bc, b2), line_through(p, c))
-    if c2 is None:
-        return None
     return DesarguesConfig(a, b, c, a2, b2, c2, center=p)
 
 

@@ -26,18 +26,20 @@ proven nonzero.
 
 from __future__ import annotations
 
-from .fields import DivisionByZeroError, Element, Field, _check_elements, _same_field
+from .fields import (
+    DivisionByZeroError, Element, Field, PreconditionError, _check_elements, _same_field
+)
 
 
-class CrossRatioArgumentError(ValueError):
+class CrossRatioArgumentError(PreconditionError):
     """Argument tuple outside the cross-ratio's domain."""
 
 
-class InvalidRatioPointError(ValueError):
+class InvalidRatioPointError(PreconditionError):
     """A ratio value of 0 or 1 admits no nondegenerate fourth point."""
 
 
-class InfiniteSolutionError(ValueError):
+class InfiniteSolutionError(PreconditionError):
     """The unique fourth point exists only at infinity."""
 
 

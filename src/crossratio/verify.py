@@ -97,18 +97,18 @@ class CheckDef:
 CHECKS: dict[str, CheckDef] = {}
 
 
-def _check(name: str, description: str, **fields):
+def _register(name: str, description: str, **fields):
     """Register the decorated function as the evaluator of check `name`.
 
     Registration order is report order.  The function is returned as it
     is, so one evaluator can serve two checks.
     """
 
-    def register(evaluate):
+    def decorate(evaluate):
         CHECKS[name] = CheckDef(name, description, evaluate=evaluate, **fields)
         return evaluate
 
-    return register
+    return decorate
 
 
 def _witness(inputs: list[str], lhs, rhs) -> dict:
@@ -288,7 +288,7 @@ def _draw_scalar_int(rng, nonzero=False):
 # ---------------------------------------------------------------- field checks
 
 
-@_check(
+@_register(
     "field_axioms",
     "ring axioms with two-sided distributivity and additive inverses",
     **_tuples(3),
@@ -308,7 +308,7 @@ def _eval_field_axioms(field, xs):
     ]
 
 
-@_check(
+@_register(
     "multiplicative_inverse_laws",
     "x^-1 is two-sided, involutive, and reverses products",
     **_tuples(2, nonzero=True),
@@ -325,7 +325,7 @@ def _eval_inverse_laws(field, xs):
     ]
 
 
-@_check("no_zero_divisors", "products of nonzero elements are nonzero", **_tuples(2, nonzero=True))
+@_register("no_zero_divisors", "products of nonzero elements are nonzero", **_tuples(2, nonzero=True))
 def _eval_no_zero_divisors(field, xs):
     x, y = xs
     if (x * y).is_zero:
@@ -333,7 +333,7 @@ def _eval_no_zero_divisors(field, xs):
     return []
 
 
-@_check(
+@_register(
     "difference_of_inverses",
     "x^-1 - y^-1 = y^-1 (y - x) x^-1 for nonzero x, y",
     **_tuples(2, nonzero=True),
@@ -343,7 +343,7 @@ def _eval_difference_of_inverses(field, xs):
     return _law("xy", xs, x.inv() - y.inv(), y.inv() * (y - x) * x.inv())
 
 
-@_check(
+@_register(
     "norm_multiplicativity",
     "quaternion norm is multiplicative over exact rationals",
     scope="quaternion",
@@ -361,7 +361,7 @@ def _draw_center_membership(field, rng):
     return (x, scalar, probes)
 
 
-@_check(
+@_register(
     "center_membership",
     "is_central agrees with commuting against basis plus 50 probes",
     draw=_draw_center_membership,
@@ -384,7 +384,7 @@ def _eval_center_membership(field, inputs):
 # ---------------------------------------------------------------- ratio checks
 
 
-@_check(
+@_register(
     "ratio2_laws",
     "two-point ratio arithmetic laws and the symmetry criterion",
     **_tuples(3, nonzero=True),
@@ -411,7 +411,7 @@ def _eval_ratio2_laws(field, xs):
     return fails
 
 
-@_check(
+@_register(
     "ratio3_laws",
     "three-point ratio laws: negation, inversion, argument swap",
     **_tuples(3, nonzero=True, distinct=True),
@@ -431,7 +431,7 @@ def _eval_ratio3_laws(field, xs):
     ]
 
 
-@_check(
+@_register(
     "ratio3_inverse_commutative",
     "commutative form of the inverse-points ratio law",
     scope="commutative",
@@ -453,7 +453,7 @@ def _draw_bijectivity(field, rng):
     return (b, x1, x2, r)
 
 
-@_check(
+@_register(
     "ratio_map_bijectivity",
     "X -> ratio2(X, B) is injective and onto (X = B*R solves it)",
     draw=_draw_bijectivity,
@@ -477,7 +477,7 @@ def _eval_bijectivity(field, inputs):
 # ---------------------------------------------------------------- cross-ratio checks
 
 
-@_check(
+@_register(
     "cr_inverse_swap",
     "swapping the last two points inverts the cross-ratio",
     **_tuples(4, distinct=True),
@@ -487,7 +487,7 @@ def _eval_cr_inverse_swap(field, xs):
     return _law("ABCD", xs, cross_ratio(a, b, d, c), cross_ratio(a, b, c, d).value.inv())
 
 
-@_check(
+@_register(
     "cr_negation_invariance",
     "negating all four points leaves the cross-ratio unchanged",
     **_tuples(4, distinct=True),
@@ -499,7 +499,7 @@ def _eval_cr_negation_invariance(field, xs):
     return _law("ABCD", xs, cross_ratio(-a, -b, -c, -d), cross_ratio(a, b, c, d))
 
 
-@_check(
+@_register(
     "cr_alternative_formula",
     "inverse-difference formula agrees with the defining product",
     **_tuples(4, distinct=True),
@@ -508,7 +508,7 @@ def _eval_cr_alternative_formula(field, xs):
     return _law("ABCD", xs, cross_ratio(*xs), cross_ratio_alt(*xs))
 
 
-@_check(
+@_register(
     "cr_complement",
     "one minus the cross-ratio swaps the middle points",
     **_tuples(4, distinct=True),
@@ -518,7 +518,7 @@ def _eval_cr_complement(field, xs):
     return _law("ABCD", xs, field.one - cross_ratio(a, b, c, d).value, cross_ratio(a, c, b, d))
 
 
-@_check(
+@_register(
     "cr_permutation_trio",
     "the three rewiring identities for permuted last points",
     **_tuples(4, distinct=True),
@@ -536,7 +536,7 @@ def _eval_cr_permutation_trio(field, xs):
     ]
 
 
-@_check(
+@_register(
     "cr_inverse_points_conjugation",
     "inverting all points conjugates the cross-ratio by A",
     draw=_tuples(4, nonzero=True, distinct=True)["draw"],
@@ -561,7 +561,7 @@ def _draw_central_first(field, rng):
     return (a, *rest)
 
 
-@_check(
+@_register(
     "cr_central_collapse",
     "with central A the inverse-points conjugation disappears",
     draw=_draw_central_first,
@@ -572,14 +572,14 @@ def _eval_central_collapse(field, xs):
     return _law("ABCD", xs, cross_ratio(a.inv(), b.inv(), c.inv(), d.inv()), cross_ratio(*xs))
 
 
-@_check(
+@_register(
     "cr_noncommutativity_witness",
     "search for a tuple whose two argument orders disagree",
     scope="noncommutative",
     kind="witness-search",
     draw=_tuples(4, distinct=True)["draw"],
 )
-@_check(
+@_register(
     "cr_commutative_symmetry",
     "over a commutative field both argument orders agree",
     scope="commutative",
@@ -607,7 +607,7 @@ def _draw_commuting_ratios(field, rng):
     return (a, b, c, d)
 
 
-@_check(
+@_register(
     "cr_commuting_ratios_symmetry",
     "commuting ratio points force both argument orders to agree",
     draw=_draw_commuting_ratios,
@@ -619,7 +619,7 @@ def _eval_commuting_ratios(field, xs):
     return _eval_cr_commutative_symmetry(field, xs)
 
 
-@_check(
+@_register(
     "cr_ratio_factorization",
     "the cross-ratio factors as r(B,A;D) * r(A,B;C)",
     **_tuples(4, distinct=True),
@@ -629,7 +629,7 @@ def _eval_cr_factorization(field, xs):
     return _law("ABCD", xs, cross_ratio(a, b, c, d), ratio3(b, a, d) * ratio3(a, b, c))
 
 
-@_check(
+@_register(
     "cr_infinity_reductions",
     "one infinite argument reduces to the documented quotient form",
     **_tuples(4, distinct=True),
@@ -665,7 +665,7 @@ def _draw_solve_roundtrip(field, rng):
     return (r, *triple)
 
 
-@_check(
+@_register(
     "solve_fourth_point_roundtrip",
     "solving for D reproduces the requested cross-ratio, uniquely",
     draw=_draw_solve_roundtrip,
@@ -696,7 +696,7 @@ def _draw_incidence(field, rng):
     return (p, q, r, s)
 
 
-@_check(
+@_register(
     "plane_incidence_axioms",
     "unique joins, Playfair parallels, and a non-collinear triple",
     draw=_draw_incidence,
@@ -747,7 +747,7 @@ def _draw_chart(field, rng):
     return (chart, field.random_element(rng))
 
 
-@_check(
+@_register(
     "coordinate_chart_roundtrip",
     "a chart's point_at and coordinate are mutually inverse on its axis",
     draw=_draw_chart,
@@ -779,7 +779,7 @@ def _draw_geometric(field, rng):
 _GEOMETRIC_NAMES = ("O", "I", "a", "b", "aux")
 
 
-@_check(
+@_register(
     "geometric_add_agreement",
     "the addition construction realizes coordinate addition",
     draw=_draw_geometric,
@@ -790,7 +790,7 @@ def _eval_geometric_add(field, inputs):
     return _law(_GEOMETRIC_NAMES, (chart.o, chart.i, a, b, aux), chart.coordinate(result), a + b)
 
 
-@_check(
+@_register(
     "geometric_mul_agreement",
     "the multiplication construction realizes the left-to-right product",
     draw=_draw_geometric,
@@ -820,7 +820,7 @@ def _draw_aux_family(field, rng):
     return (chart, a, b, tuple(auxes))
 
 
-@_check(
+@_register(
     "aux_point_independence",
     "construction results do not depend on the auxiliary point",
     draw=_draw_aux_family,
@@ -846,7 +846,7 @@ def _draw_desargues(field, rng):
     return (rng.getrandbits(32),)
 
 
-@_check(
+@_register(
     "desargues_axiom_holds",
     "generated perspective triangles always satisfy the conclusion",
     draw=_draw_desargues,

@@ -4,6 +4,7 @@ Exit code contract: 0 ok, 1 failed verification, 2 parse/config,
 3 precondition, 4 infinite solution set, 5 I/O.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,11 +14,23 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import crossratio
+from crossratio import cli
 from crossratio.cli import build_parser, main
+from crossratio.fields import DivisionByZeroError, FieldMismatchError, PreconditionError
+from crossratio.plane import (
+    AuxiliaryPointError,
+    DegenerateConfigurationError,
+    HypothesisViolationError,
+    IdenticalLinesError,
+    IdenticalPointsError,
+    NotOnLineError,
+)
+from crossratio.ratio import CrossRatioArgumentError, InfiniteSolutionError, InvalidRatioPointError
 
 
 def run_cli(capsys, *argv):
@@ -592,6 +605,43 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+# ---------------------------------------------------------------- exit codes by class
+# main() maps an error to its exit code by class, whichever handler raised it.
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (CrossRatioArgumentError, 3),
+        (InvalidRatioPointError, 3),
+        (DivisionByZeroError, 3),
+        (FieldMismatchError, 3),
+        (IdenticalPointsError, 3),
+        (IdenticalLinesError, 3),
+        (NotOnLineError, 3),
+        (AuxiliaryPointError, 3),
+        (DegenerateConfigurationError, 3),
+        (HypothesisViolationError, 3),
+        (PreconditionError, 3),
+        (InfiniteSolutionError, 4),
+        (ValueError, 2),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else None,
+)
+def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code):
+    def handler(args):
+        raise error("boom")
+
+    parsed = argparse.Namespace(handler=handler)
+    monkeypatch.setattr(cli, "_parser", lambda: SimpleNamespace(parse_args=lambda argv: parsed))
+    assert main(["eval"]) == code
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+
+def test_division_by_zero_is_still_a_zero_division_error():
+    assert issubclass(DivisionByZeroError, ZeroDivisionError)
+
+
 # ---------------------------------------------------------------- parser reuse
 # main() reuses one parser across calls, so no option may leak into the next call.
 
@@ -690,3 +740,20 @@ def test_import_loads_no_subcommand_dependencies(tmp_path):
     )
     assert sha256(figure.read_text()) == SVG_DIGESTS["add"]
     assert ver_code == 0 and sha256(ver_out) == TEXT_DIGESTS[("gf:5", "25")]
+
+
+def test_package_root_loads_no_submodule():
+    src = str(pathlib.Path(crossratio.__file__).parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, crossratio; print([m for m in sys.modules if m.startswith('crossratio.')])",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -171,7 +171,7 @@ def test_equal_field_instances_mix(f, g):
     assert f is not g and f == g and hash(f) == hash(g)
     x, y = f.element(3), g.element(3)
     assert x == y and y == x and hash(x) == hash(y)  # Element.__eq__, __hash__
-    assert x + y == g.element(6) and x - y == g.zero and x * y == g.element(9)  # Element._check
+    assert x + y == g.element(6) and x - y == g.zero and x * y == g.element(9)  # _check_elements
     assert g.element(x) is x  # Field.element
     assert PlanePoint(x, g.one).y == f.one  # PlanePoint.__init__
     fx, gy = ExtendedPoint.finite(x), ExtendedPoint.finite(y)
@@ -214,7 +214,7 @@ def test_different_fields_do_not_mix(f, g):
     x, y = f.element(3), g.element(3)  # equal payloads, different fields
     assert x != y and y != x  # Element.__eq__
     for op in ("__add__", "__sub__", "__mul__"):
-        with pytest.raises(FieldMismatchError):  # Element._check
+        with pytest.raises(FieldMismatchError):  # _check_elements
             getattr(x, op)(y)
     with pytest.raises(FieldMismatchError):  # Field.element
         g.element(x)
