@@ -42,6 +42,7 @@ from .plane import (
     construct_product,
     construct_sum,
     default_aux,
+    desargues_conclusion,
     generate_desargues_config,
 )
 from .ratio import ExtendedPoint, InfiniteSolutionError, cross_ratio, solve_fourth_point
@@ -193,7 +194,8 @@ def _cmd_desargues(args) -> int:
             cfg = _tamper(cfg)
         canonicals.append(cfg.canonical())
         try:
-            ok = check_desargues(cfg)
+            # generate_desargues_config validated cfg, so only a tampered one is validated again
+            ok = check_desargues(cfg) if args.flip_c_prime else desargues_conclusion(cfg)
         except HypothesisViolationError as exc:
             failures.append(f"config {index}: {exc}")
             continue

@@ -15,6 +15,12 @@ The module also owns the element literal grammar shared with the CLI:
 
 Digits are ASCII 0-9 only.  Whitespace is ignored.  ``str(field.parse(s))``
 is the canonical spelling of ``s``.
+
+Each field computes on payloads through its kernels _add, _sub, _neg, _mul,
+_inv, _ldiv (x^-1 * y) and _rdiv (x * y^-1), and each kernel returns the
+canonical payload.  Every division in this package goes through _ldiv or
+_rdiv, called only on a divisor its branch has proven nonzero; _inv serves
+Element.inv and the inverse terms of ratio.cross_ratio_alt.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ class DivisionByZeroError(PreconditionError, ZeroDivisionError):
 class Element:
     """One exact element of a skew field, tagged with its field instance."""
 
-    __slots__ = ("field", "value")
+    __slots__ = ("field", "value", "_text")
 
     def __init__(self, field: "Field", value):
         self.field = field
@@ -123,7 +129,12 @@ class Element:
         return hash(self.value)  # equal elements have equal payloads
 
     def __str__(self):
-        return self.field._format(self.value)
+        # Formatted once: a line shares its slope Element with its parallels.
+        try:
+            return self._text
+        except AttributeError:
+            self._text = text = self.field._format(self.value)
+            return text
 
     def __repr__(self):
         return f"<{self.field}: {self.field._format(self.value)}>"
@@ -203,6 +214,12 @@ class RationalField(Field):
 
     def _inv(self, a):
         return 1 / a
+
+    def _ldiv(self, a, b):
+        return b / a
+
+    def _rdiv(self, a, b):
+        return a / b
 
     def _random(self, rng):
         return Fraction(*_random_fraction_terms(rng.getrandbits))
@@ -286,6 +303,14 @@ class GaloisField(Field):
     def _inv(self, a):
         return pow(a, -1, self.p)
 
+    def _ldiv(self, a, b):
+        p = self.p
+        return pow(a, -1, p) * b % p
+
+    def _rdiv(self, a, b):
+        p = self.p
+        return a * pow(b, -1, p) % p
+
     def _random(self, rng):
         return _randbelow(rng.getrandbits, self.p, self.p.bit_length())
 
@@ -325,6 +350,9 @@ class QuaternionField(Field):
       complexity of the quaternion product", Cornell TR 75-245, 1975);
     - inverse: the reducing factor is known to be gcd(n, norm) times the
       content gcd(a, b, c, d), two gcds at operand size;
+    - quotients x^-1 * y (_ldiv) and x * y^-1 (_rdiv): the scalar
+      denominators cancel first, so one conjugate product and one gcd give
+      the reduced result, and no inverse is built to be multiplied away;
     - format: one gcd per coefficient, with no Fraction built.
     """
 
@@ -362,27 +390,26 @@ class QuaternionField(Field):
         return (a // h, b // h, c // h, d // h, s * (n2 // h))
 
     def _sub(self, x, y):
-        return self._add(x, self._neg(y))
+        # _add with y negated, written out: see _add for why h divides g
+        a1, b1, c1, d1, n1 = x
+        a2, b2, c2, d2, n2 = y
+        g = math.gcd(n1, n2)
+        s, t = n1 // g, n2 // g
+        a, b, c, d = a1 * t - a2 * s, b1 * t - b2 * s, c1 * t - c2 * s, d1 * t - d2 * s
+        h = math.gcd(g, a, b, c, d)
+        if h == 1:
+            return (a, b, c, d, s * n2)
+        return (a // h, b // h, c // h, d // h, s * (n2 // h))
 
     def _neg(self, x):
         a, b, c, d, n = x
         return (-a, -b, -c, -d, n)
 
     def _mul(self, x, y):
-        # Howell-Lafon: the Hamilton product from 8 integer products.
         a1, b1, c1, d1, n1 = x
         a2, b2, c2, d2, n2 = y
-        t0 = (d1 - c1) * (c2 - d2)
-        t1 = (a1 + b1) * (a2 + b2)
-        t2 = (a1 - b1) * (c2 + d2)
-        t3 = (d1 + c1) * (a2 - b2)
-        t4 = (d1 - b1) * (b2 - c2)
-        t5 = (d1 + b1) * (b2 + c2)
-        t6 = (a1 + c1) * (a2 - d2)
-        t7 = (a1 - c1) * (a2 + d2)
-        t8 = t5 + t6 + t7
-        t9 = (t4 + t8) >> 1  # t4 + t8 is always even
-        return _reduced(t0 + t9 - t5, t1 + t9 - t8, t2 + t9 - t7, t3 + t9 - t6, n1 * n2)
+        a, b, c, d = _hamilton(a1, b1, c1, d1, a2, b2, c2, d2)
+        return _reduced(a, b, c, d, n1 * n2)
 
     def _inv(self, q):
         # n(a - bi - cj - dk) / (a^2+b^2+c^2+d^2), reduced by its known common
@@ -400,6 +427,20 @@ class QuaternionField(Field):
             d // content * -m,
             norm // (g * content),
         )
+
+    def _ldiv(self, x, y):
+        # x^-1 * y = n1 * conj(X) * Y / (N(X) * n2), for x = X/n1, y = Y/n2
+        a1, b1, c1, d1, n1 = x
+        a2, b2, c2, d2, n2 = y
+        product = _hamilton(a1, -b1, -c1, -d1, a2, b2, c2, d2)
+        return _divided(n1, a1 * a1 + b1 * b1 + c1 * c1 + d1 * d1, n2, product)
+
+    def _rdiv(self, x, y):
+        # x * y^-1 = n2 * X * conj(Y) / (N(Y) * n1), for x = X/n1, y = Y/n2
+        a1, b1, c1, d1, n1 = x
+        a2, b2, c2, d2, n2 = y
+        product = _hamilton(a1, b1, c1, d1, a2, -b2, -c2, -d2)
+        return _divided(n2, a2 * a2 + b2 * b2 + c2 * c2 + d2 * d2, n1, product)
 
     @staticmethod
     def _norm(q):
@@ -457,6 +498,45 @@ class QuaternionField(Field):
 
     def __hash__(self):
         return hash(self.name)
+
+
+def _hamilton(a1, b1, c1, d1, a2, b2, c2, d2) -> tuple:
+    """The Hamilton product of two integer quaternions from 8 integer products (Howell-Lafon)."""
+    t0 = (d1 - c1) * (c2 - d2)
+    t1 = (a1 + b1) * (a2 + b2)
+    t2 = (a1 - b1) * (c2 + d2)
+    t3 = (d1 + c1) * (a2 - b2)
+    t4 = (d1 - b1) * (b2 - c2)
+    t5 = (d1 + b1) * (b2 + c2)
+    t6 = (a1 + c1) * (a2 - d2)
+    t7 = (a1 - c1) * (a2 + d2)
+    t8 = t5 + t6 + t7
+    t9 = (t4 + t8) >> 1  # t4 + t8 is always even
+    return t0 + t9 - t5, t1 + t9 - t8, t2 + t9 - t7, t3 + t9 - t6
+
+
+def _divided(m: int, norm: int, n: int, product: tuple) -> tuple:
+    """The payload of m * product / (norm * n) in lowest terms; m, norm and n are positive.
+
+    The scalars cancel first, m against n and then what is left of m against
+    norm (Knuth, TAOCP vol. 2, 4.5.1).  What is left of m is then prime to the
+    denominator, so the one common factor to remove is that of the
+    denominator and the product's coefficients.
+    """
+    g = math.gcd(m, n)
+    if g != 1:
+        m, n = m // g, n // g
+    g = math.gcd(m, norm)
+    if g != 1:
+        m, norm = m // g, norm // g
+    den = norm * n
+    a, b, c, d = product
+    h = math.gcd(den, a, b, c, d)
+    if h != 1:
+        a, b, c, d, den = a // h, b // h, c // h, d // h, den // h
+    if m != 1:
+        a, b, c, d = a * m, b * m, c * m, d * m
+    return (a, b, c, d, den)
 
 
 def _reduced(a: int, b: int, c: int, d: int, n: int) -> tuple:
@@ -556,4 +636,4 @@ def conjugate_by(p: Element, q: Element) -> Element:
     qv = q.value
     if f._is_zero(qv):
         raise DivisionByZeroError(f"cannot invert zero in {f}")
-    return Element(f, f._mul(f._mul(f._inv(qv), p.value), qv))
+    return Element(f, f._mul(f._ldiv(qv, p.value), qv))

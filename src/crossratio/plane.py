@@ -19,10 +19,12 @@ generator returns; check_desargues validates first.
 The primitives that every construction and check runs through
 (line_through, parallel_through, intersect, PlaneLine.contains,
 Chart.point_at and Chart.coordinate) compute on the field payloads, through
-the field's own _add, _sub, _mul and _inv, and wrap only the values they
-return in Elements.  So each one checks its arguments' fields itself, before
-it looks at the line's kind: a call that mixes unequal fields raises
-FieldMismatchError, on a vertical line as on a sloped one.
+the field's own _add, _sub and _mul, and divide in one step through its
+_ldiv (a slope (qx - px)^-1 (qy - py)) or _rdiv (a meet or a coordinate),
+called only on a divisor the branch has proven nonzero.  They wrap only the
+values they return in Elements.  So each one checks its arguments' fields
+itself, before it looks at the line's kind: a call that mixes unequal fields
+raises FieldMismatchError, on a vertical line as on a sloped one.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
             raise IdenticalPointsError("no unique line through a repeated point")
         return PlaneLine.vertical(p.x)
     # q.x - p.x is nonzero: the branch above took every p.x == q.x
-    m = f._mul(f._inv(f._sub(qx, px)), f._sub(qy, py))
+    m = f._ldiv(f._sub(qx, px), f._sub(qy, py))
     return PlaneLine.sloped(Element(f, m), Element(f, f._sub(py, f._mul(px, m))))
 
 
@@ -195,10 +197,10 @@ def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint | None:
     if l2.is_vertical:
         x = l2.intercept
         return PlanePoint(x, x * l1.slope + l1.intercept)
-    # x*m1 + b1 = x*m2 + b2 solved by the right inverse of (m1 - m2), which
+    # x*m1 + b1 = x*m2 + b2 solved by right division by (m1 - m2), which
     # is nonzero: parallel() above took every pair of equal slopes
     m1, b1 = l1.slope.value, l1.intercept.value
-    x = f._mul(f._sub(l2.intercept.value, b1), f._inv(f._sub(m1, l2.slope.value)))
+    x = f._rdiv(f._sub(l2.intercept.value, b1), f._sub(m1, l2.slope.value))
     return PlanePoint(Element(f, x), Element(f, f._add(f._mul(x, m1), b1)))
 
 
@@ -247,7 +249,7 @@ class Chart:
             along, base, unit = p.x.value, o.x.value, i.x.value
         # unit - base is nonzero: O != I, and the axis is vertical exactly
         # when their x agree, so they differ in the coordinate read here
-        return Element(f, f._mul(f._sub(along, base), f._inv(f._sub(unit, base))))
+        return Element(f, f._rdiv(f._sub(along, base), f._sub(unit, base)))
 
 
 class Construction:

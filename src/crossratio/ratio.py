@@ -12,16 +12,18 @@ single point at infinity, written ``inf``, which absorbs the 0^-1 cases
 arising when two of the four arguments coincide.
 
 ratio2, ratio3, cross_ratio, cross_ratio_alt and solve_fourth_point compute
-on the field payloads, through the field's own _sub, _mul and _inv, and wrap
-only the value they return in an Element or ExtendedPoint.  Each one checks
-its arguments once, before it looks at their values: a non-Element (for
-cross_ratio, neither an Element nor an ExtendedPoint) raises TypeError, and
-then unequal fields raise FieldMismatchError.  So a call that mixes fields
-raises FieldMismatchError even where its values alone would raise
-DivisionByZeroError or a domain error.  Every coincidence and zero test is
-then decided on payloads, which is exact because equal elements of a field
-have equal payloads, and _inv is called only on a value its branch has
-proven nonzero.
+on the field payloads, through the field's own _sub and _mul, and divide in
+one step through its _ldiv (x^-1 * y) and _rdiv (x * y^-1); only the inverse
+terms of cross_ratio_alt call _inv.  Each wraps only the value it returns in
+an Element or ExtendedPoint, and checks its arguments once, before it looks
+at their values: a non-Element (for cross_ratio, neither an Element nor an
+ExtendedPoint) raises TypeError, and then unequal fields raise
+FieldMismatchError.  So a call that mixes fields raises FieldMismatchError
+even where its values alone would raise DivisionByZeroError or a domain
+error.  Every coincidence and zero test is then decided on payloads, which
+is exact because equal elements of a field have equal payloads, and every
+divisor, like every value given to _inv, is one its branch has proven
+nonzero.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def ratio2(a: Element, b: Element) -> Element:
     pb = b.value
     if f._is_zero(pb):
         raise DivisionByZeroError("ratio of two points needs a nonzero second point")
-    return Element(f, f._mul(f._inv(pb), a.value))
+    return Element(f, f._ldiv(pb, a.value))
 
 
 def ratio3(a: Element, b: Element, c: Element) -> Element:
@@ -117,7 +119,7 @@ def ratio3(a: Element, b: Element, c: Element) -> Element:
     if pb == pc:
         raise DivisionByZeroError("ratio of three points needs B != C")
     # B - C is nonzero: the test above took B == C
-    return Element(f, f._mul(f._inv(f._sub(pb, pc)), f._sub(a.value, pc)))
+    return Element(f, f._ldiv(f._sub(pb, pc), f._sub(a.value, pc)))
 
 
 def cross_ratio(
@@ -148,12 +150,12 @@ def cross_ratio(
     if (ab and (bc or bd)) or (cd and (ac or bc)):
         raise CrossRatioArgumentError("no three cross-ratio arguments may coincide")
 
-    sub, inv = f._sub, f._inv
+    sub, ldiv = f._sub, f._ldiv
     if pa is None:  # c_r(inf,B;C,D) = (B-D)(B-C)^-1
         if bc:
             return ExtendedPoint(f, None)
         # B - C is nonzero: bc is False
-        return ExtendedPoint(f, Element(f, f._mul(sub(pb, pd), inv(sub(pb, pc)))))
+        return ExtendedPoint(f, Element(f, f._rdiv(sub(pb, pd), sub(pb, pc))))
     if pb is None:  # c_r(A,inf;C,D) = (A-D)^-1(A-C)
         vanishes, den, num = ad, (pa, pd), (pa, pc)
     elif pc is None:  # c_r(A,B;inf,D) = (A-D)^-1(B-D)
@@ -168,13 +170,12 @@ def cross_ratio(
         return ExtendedPoint(f, None)
     else:
         # A - D and B - C are nonzero: ad and bc are both False
-        mul = f._mul
-        left = mul(inv(sub(pa, pd)), sub(pb, pd))
-        return ExtendedPoint(f, Element(f, mul(left, mul(inv(sub(pb, pc)), sub(pa, pc)))))
+        left = ldiv(sub(pa, pd), sub(pb, pd))
+        return ExtendedPoint(f, Element(f, f._mul(left, ldiv(sub(pb, pc), sub(pa, pc)))))
     if vanishes:  # 0^-1 = inf convention
         return ExtendedPoint(f, None)
-    # the inverted difference is nonzero: vanishes is False
-    return ExtendedPoint(f, Element(f, f._mul(inv(sub(*den)), sub(*num))))
+    # the divisor is nonzero: vanishes is False
+    return ExtendedPoint(f, Element(f, ldiv(sub(*den), sub(*num))))
 
 
 def cross_ratio_alt(a: Element, b: Element, c: Element, d: Element) -> Element:
@@ -193,10 +194,11 @@ def cross_ratio_alt(a: Element, b: Element, c: Element, d: Element) -> Element:
     if len({pa, pb, pc, pd}) != 4:
         raise CrossRatioArgumentError("inverse-difference form needs four distinct points")
     sub, inv = f._sub, f._inv
-    # Every inverted value is nonzero: A - B, A - C and A - D since the points
-    # are distinct, and (A-B)^-1 - (A-C)^-1 since it vanishes only if B = C.
+    # Every inverted value and the divisor are nonzero: A - B, A - C and A - D
+    # since the points are distinct, and (A-B)^-1 - (A-C)^-1 since it vanishes
+    # only if B = C.
     ab = inv(sub(pa, pb))
-    return Element(f, f._mul(sub(ab, inv(sub(pa, pd))), inv(sub(ab, inv(sub(pa, pc))))))
+    return Element(f, f._rdiv(sub(ab, inv(sub(pa, pd))), sub(ab, inv(sub(pa, pc)))))
 
 
 def solve_fourth_point(r: Element, a: Element, b: Element, c: Element) -> Element:
@@ -220,8 +222,8 @@ def solve_fourth_point(r: Element, a: Element, b: Element, c: Element) -> Elemen
     if len({a.value, b.value, c.value}) != 3:
         raise CrossRatioArgumentError("the three given points must be pairwise distinct")
     # r(A,B;C) = (B-C)^-1 (A-C) is nonzero, since A != C
-    s = f._mul(pr, f._inv(ratio3(a, b, c).value))
+    s = f._rdiv(pr, ratio3(a, b, c).value)
     if s == one:
         raise InfiniteSolutionError("the fourth point for this value lies at infinity")
     # S - 1 is nonzero: the test above took S == 1
-    return Element(f, f._mul(f._sub(f._mul(a.value, s), b.value), f._inv(f._sub(s, one))))
+    return Element(f, f._rdiv(f._sub(f._mul(a.value, s), b.value), f._sub(s, one)))

@@ -556,6 +556,8 @@ def test_desargues_tamper_flag_is_detected(capsys):
     )
     assert code == 1
     assert "0/2 pass" in out
+    # the tampered configuration is validated again and fails a hypothesis clause
+    assert "config 0: hypothesis violated: " in out
 
 
 def test_desargues_tamper_flag_alias(capsys):

@@ -18,6 +18,7 @@ from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, element_stra
 from crossratio.fields import (
     RANDOM_COEFF_BOUND,
     DivisionByZeroError,
+    Element,
     FieldMismatchError,
     GaloisField,
     QuaternionField,
@@ -314,6 +315,22 @@ def test_rational_examples():
     assert RATIONAL.element(Fraction(3, 2)).inv() == RATIONAL.element(Fraction(2, 3))
 
 
+@given(
+    st.fractions(min_value=-40, max_value=40, max_denominator=24),
+    st.fractions(min_value=-40, max_value=40, max_denominator=24).filter(bool),
+)
+def test_rational_division_kernels_match_fraction(b, a):
+    assert RATIONAL._ldiv(a, b) == Fraction(1, 1) / a * b
+    assert RATIONAL._rdiv(b, a) == b * (Fraction(1, 1) / a)
+
+
+def test_gf_division_kernels_match_mul_and_inv_exhaustively():
+    for a in range(7):
+        for b in range(1, 7):
+            assert GF7._ldiv(b, a) == GF7._mul(GF7._inv(b), a)
+            assert GF7._rdiv(a, b) == GF7._mul(a, GF7._inv(b))
+
+
 def test_gf_examples():
     assert -GF7.element(3) == GF7.element(4)
     assert GF5.element(3) * GF5.element(4) == GF5.element((3 * 4) % 5)
@@ -460,9 +477,15 @@ def test_quaternion_ops_match_fraction_oracle(size, data):
     ]
     if any(p):
         results.append((x.inv(), q_inv(p)))
+        results.append((Element(QUATERNION, QUATERNION._ldiv(x.value, y.value)), q_mul(q_inv(p), q)))
+    if any(q):
+        results.append((Element(QUATERNION, QUATERNION._rdiv(x.value, y.value)), q_mul(p, q_inv(q))))
     for got, want in results:
         assert q_parts(got) == want
         assert_reduced(got)
+    # _sub subtracts directly; it must give the payload of adding the negation
+    for u, v in ((x, y), (y, x), (x, x)):
+        assert QUATERNION._sub(u.value, v.value) == QUATERNION._add(u.value, QUATERNION._neg(v.value))
     assert QUATERNION.norm(x) == q_norm(p)
     assert str(x) == q_str(p)
     assert QUATERNION.parse(q_str(p)) == x
