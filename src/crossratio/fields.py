@@ -21,6 +21,19 @@ _inv, _ldiv (x^-1 * y) and _rdiv (x * y^-1), and each kernel returns the
 canonical payload.  Every division in this package goes through _ldiv or
 _rdiv, called only on a divisor its branch has proven nonzero; _inv serves
 Element.inv and the inverse terms of ratio.cross_ratio_alt.
+
+Payloads are plain ints and tuples of ints, so equal elements have equal
+payloads: a rational is (n, d) with d > 0 and gcd(n, d) == 1, a GF(p)
+element a residue in [0, p), and a quaternion (a, b, c, d, n) over one
+positive denominator in lowest terms.  Rational and quaternion kernels
+reduce with gcds on the smallest operands that suffice (Knuth, TAOCP vol. 2,
+4.5.1): a sum or difference splits the gcd of the denominators and reduces
+only by a divisor of it, a rational product or quotient cross-cancels
+before it multiplies, and a quaternion quotient cancels its scalar
+denominators first.  The RationalField and QuaternionField docstrings list
+each kernel's gcds.  Fraction appears only at the edges: coercion takes
+one, QuaternionField.norm returns one, and quaternion literals sum their
+coefficients as Fractions.
 """
 
 from __future__ import annotations
@@ -155,7 +168,7 @@ class Field:
         return Element(self, self._coerce(1))
 
     def element(self, raw) -> Element:
-        """Coerce an int, Fraction or payload to an Element; parse() reads literals."""
+        """Coerce an int, a Fraction or 4 quaternion coefficients to an Element; parse() reads literals."""
         if isinstance(raw, Element):
             if raw.field is not self and raw.field != self:
                 raise FieldMismatchError(f"element of {raw.field} is not in {self}")
@@ -163,7 +176,7 @@ class Field:
         return Element(self, self._coerce(raw))
 
     def parse(self, text: str) -> Element:
-        return Element(self, self._parse(re.sub(r"\s+", "", text)))
+        return Element(self, self._parse(_WHITESPACE_RE.sub("", text)))
 
     def random_element(self, rng, nonzero: bool = False) -> Element:
         while True:
@@ -187,48 +200,112 @@ class Field:
 
 
 class RationalField(Field):
-    """The field of rationals, stored as reduced arbitrary-precision fractions."""
+    """The field of rationals, stored as reduced pairs of arbitrary-precision ints.
+
+    Payload is a 2-tuple of ints (n, d) standing for n/d, with d > 0 and
+    gcd(n, d) == 1, so zero is (0, 1).  That form is unique, so equal
+    rationals have equal payloads.  Each kernel takes its gcds on the
+    smallest operands that suffice (Knuth, TAOCP vol. 2, 4.5.1):
+
+    - sum and difference: split g = gcd(d1, d2); a factor common to the new
+      numerator and denominator divides g, so the second gcd is against g;
+    - product: cross-cancel, gcd(n1, d2) and gcd(n2, d1);
+    - quotients x^-1 * y (_ldiv) and x * y^-1 (_rdiv): cross-cancel the two
+      numerators and the two denominators, then move the sign to the
+      numerator;
+    - inverse: swap numerator and denominator, moving the sign, with no gcd;
+    - parse and random draw: one gcd of the literal's or the draw's two ints;
+    - format: what str(Fraction) prints, with no gcd and no Fraction built.
+    """
 
     name = "rational"
     commutative = True
 
     def _coerce(self, raw):
-        if isinstance(raw, (int, Fraction)):
-            return Fraction(raw)
+        if isinstance(raw, int):
+            return (int(raw), 1)  # int(): a bool becomes the int it equals
+        if isinstance(raw, Fraction):
+            return (raw.numerator, raw.denominator)
         raise TypeError(f"cannot make a rational from {type(raw).__name__}")
 
     def _is_zero(self, a):
-        return a == 0
+        return a[0] == 0
 
     def _add(self, a, b):
-        return a + b
+        n1, d1 = a
+        n2, d2 = b
+        g = math.gcd(d1, d2)
+        if g == 1:
+            return (n1 * d2 + n2 * d1, d1 * d2)
+        s = d1 // g
+        t = n1 * (d2 // g) + n2 * s
+        # The sum is t / (s * d2).  A prime of s divides n2 * s but neither
+        # n1 nor d2 // g, so it cannot divide t; likewise for d2 // g.  So
+        # the common factor divides g.
+        h = math.gcd(t, g)
+        if h == 1:
+            return (t, s * d2)
+        return (t // h, s * (d2 // h))
 
     def _sub(self, a, b):
-        return a - b
+        # _add with b negated, written out: see _add for why h divides g
+        n1, d1 = a
+        n2, d2 = b
+        g = math.gcd(d1, d2)
+        if g == 1:
+            return (n1 * d2 - n2 * d1, d1 * d2)
+        s = d1 // g
+        t = n1 * (d2 // g) - n2 * s
+        h = math.gcd(t, g)
+        if h == 1:
+            return (t, s * d2)
+        return (t // h, s * (d2 // h))
 
     def _neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def _mul(self, a, b):
-        return a * b
+        n1, d1 = a
+        n2, d2 = b
+        g1 = math.gcd(n1, d2)
+        g2 = math.gcd(n2, d1)
+        return ((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
 
     def _inv(self, a):
-        return 1 / a
+        n, d = a
+        return (-d, -n) if n < 0 else (d, n)
 
     def _ldiv(self, a, b):
-        return b / a
+        # b / a: _rdiv with the operands swapped, written out
+        n1, d1 = b
+        n2, d2 = a
+        g1 = math.gcd(n1, n2)
+        g2 = math.gcd(d1, d2)
+        n, d = (n1 // g1) * (d2 // g2), (d1 // g2) * (n2 // g1)
+        return (-n, -d) if d < 0 else (n, d)
 
     def _rdiv(self, a, b):
-        return a / b
+        # (n1/d1) / (n2/d2) = (n1 * d2) / (d1 * n2), cross-cancelled
+        n1, d1 = a
+        n2, d2 = b
+        g1 = math.gcd(n1, n2)
+        g2 = math.gcd(d1, d2)
+        n, d = (n1 // g1) * (d2 // g2), (d1 // g2) * (n2 // g1)
+        return (-n, -d) if d < 0 else (n, d)
 
     def _random(self, rng):
-        return Fraction(*_random_fraction_terms(rng.getrandbits))
+        n, d = _random_fraction_terms(rng.getrandbits)
+        g = math.gcd(n, d)
+        return (n // g, d // g)
 
     def _format(self, a):
-        return str(a)
+        n, d = a
+        return str(n) if d == 1 else f"{n}/{d}"
 
     def _parse(self, text):
-        return _parse_rational(text)
+        n, d = _parse_rational(text)
+        g = math.gcd(n, d)
+        return (n // g, d // g)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -547,19 +624,24 @@ def _reduced(a: int, b: int, c: int, d: int, n: int) -> tuple:
     return (a // g, b // g, c // g, d // g, n // g)
 
 
+_WHITESPACE_RE = re.compile(r"\s+")
 # re.ASCII: \d is [0-9] only, so no other script's digits get through to int().
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$", re.ASCII)
 _QUAT_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)([ijk])?|([ijk]))", re.ASCII)
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> tuple[int, int]:
+    """The numerator and positive denominator of a rational literal, not reduced."""
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ValueError(f"invalid rational literal: {text!r}")
     num, den = m.group(1), m.group(2)
-    if den is not None and int(den) == 0:
+    if den is None:
+        return int(num), 1
+    d = int(den)
+    if d == 0:
         raise ValueError(f"zero denominator in literal: {text!r}")
-    return Fraction(int(num), int(den) if den is not None else 1)
+    return int(num), d
 
 
 def _parse_quaternion(text: str):
@@ -577,7 +659,7 @@ def _parse_quaternion(text: str):
         if m.group(4) is not None:
             coeff, unit = Fraction(1), m.group(4)
         else:
-            coeff = _parse_rational(m.group(2))
+            coeff = Fraction(*_parse_rational(m.group(2)))
             unit = m.group(3) or ""
         parts[slot[unit]] += sign * coeff
         pos = m.end()

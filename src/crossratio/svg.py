@@ -15,8 +15,11 @@ from .plane import Construction, DegenerateConfigurationError, PlaneLine
 
 
 def _f(value) -> float:
+    # A rational payload is (n, d); int true division rounds n / d correctly,
+    # the same float that float(Fraction(n, d)) gives.
+    n, d = value.value
     try:
-        return round(float(value.value), 6)
+        return round(n / d, 6)
     except OverflowError:
         raise DegenerateConfigurationError("an SVG coordinate is out of float range") from None
 

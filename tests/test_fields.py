@@ -106,6 +106,17 @@ def assert_reduced(x):
     assert x.value[4] > 0 and math.gcd(*x.value) == 1
 
 
+def r_value(x):
+    # the payload (n, d) read back as the Fraction n/d
+    return Fraction(*x.value)
+
+
+def assert_rational_payload(got, want):
+    # the unique payload: two ints, n over a positive d in lowest terms, which is Fraction's own form
+    assert all(type(part) is int for part in got)
+    assert got == (want.numerator, want.denominator)
+
+
 def mod_inv(a, p):
     return pow(a, p - 2, p)
 
@@ -320,8 +331,67 @@ def test_rational_examples():
     st.fractions(min_value=-40, max_value=40, max_denominator=24).filter(bool),
 )
 def test_rational_division_kernels_match_fraction(b, a):
-    assert RATIONAL._ldiv(a, b) == Fraction(1, 1) / a * b
-    assert RATIONAL._rdiv(b, a) == b * (Fraction(1, 1) / a)
+    pa, pb = RATIONAL.element(a).value, RATIONAL.element(b).value
+    assert Fraction(*RATIONAL._ldiv(pa, pb)) == Fraction(1, 1) / a * b
+    assert Fraction(*RATIONAL._rdiv(pb, pa)) == b * (Fraction(1, 1) / a)
+
+
+def rationals(bound):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, bound))
+
+
+RATIONAL_SCALES = pytest.mark.parametrize("bound", [RANDOM_COEFF_BOUND, 2**256], ids=["desk", "256-bit"])
+
+
+@RATIONAL_SCALES
+@given(data=st.data())
+def test_rational_kernels_match_fraction_oracle(bound, data):
+    x, y = data.draw(rationals(bound)), data.draw(rationals(bound))
+    px, py = (x.numerator, x.denominator), (y.numerator, y.denominator)
+    assert_rational_payload(RATIONAL._add(px, py), x + y)
+    assert_rational_payload(RATIONAL._sub(px, py), x - y)
+    assert_rational_payload(RATIONAL._neg(px), -x)
+    assert_rational_payload(RATIONAL._mul(px, py), x * y)
+    assert RATIONAL._is_zero(px) == (x == 0)
+    assert RATIONAL._format(px) == str(x)
+    # every nonzero divisor twice, once with each sign
+    for z in (y, -y) if y else ():
+        pz = (z.numerator, z.denominator)
+        assert_rational_payload(RATIONAL._inv(pz), 1 / z)
+        assert_rational_payload(RATIONAL._ldiv(pz, px), 1 / z * x)
+        assert_rational_payload(RATIONAL._rdiv(px, pz), x / z)
+
+
+@RATIONAL_SCALES
+@given(data=st.data())
+def test_rational_parse_matches_fraction_oracle(bound, data):
+    # unreduced spellings, '-0', and no denominator at all
+    sign = data.draw(st.sampled_from(["", "-"]))
+    n, d = data.draw(st.integers(0, bound)), data.draw(st.none() | st.integers(1, bound))
+    text = f"{sign}{n}" if d is None else f"{sign}{n}/{d}"
+    want = Fraction(-n if sign else n, d or 1)
+    assert_rational_payload(RATIONAL._parse(text), want)
+    assert str(RATIONAL.parse(" ".join(text))) == str(want)
+
+
+@given(st.integers(0, 2**32))
+def test_rational_random_matches_fraction_draws(seed):
+    bound = RANDOM_COEFF_BOUND
+    ours, old = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        want = Fraction(old.randint(-bound, bound), old.randint(1, bound))
+        assert_rational_payload(RATIONAL._random(ours), want)
+        assert ours.getstate() == old.getstate()
+
+
+def test_rational_coercion_is_canonical():
+    assert str(RATIONAL.element(True)) == "1"
+    assert str(RATIONAL.element(False)) == "0"
+    assert str(RATIONAL.element(Fraction(6, -4))) == "-3/2"
+    assert_rational_payload(RATIONAL.element(True).value, Fraction(1))
+    assert_rational_payload(RATIONAL.element(Fraction(6, -4)).value, Fraction(-3, 2))
+    with pytest.raises(TypeError, match="^cannot make a rational from float$"):
+        RATIONAL.element(0.5)
 
 
 def test_gf_division_kernels_match_mul_and_inv_exhaustively():
@@ -531,7 +601,7 @@ def test_quaternion_parse_matches_oracle(terms):
 def test_random_quaternion_is_four_rational_draws():
     for seed in range(20):
         rng = random.Random(seed)
-        want = tuple(RATIONAL.random_element(rng).value for _ in range(4))
+        want = tuple(r_value(RATIONAL.random_element(rng)) for _ in range(4))
         x = QUATERNION.random_element(random.Random(seed))
         assert q_parts(x) == want
         assert_reduced(x)
@@ -588,7 +658,8 @@ def test_random_element_is_seed_deterministic(field):
 def test_random_rational_stays_desk_scale(rng):
     for _ in range(200):
         x = RATIONAL.random_element(rng)
-        assert abs(x.value.numerator) <= 10**6 and x.value.denominator <= 10**6
+        n, d = x.value
+        assert abs(n) <= 10**6 and d <= 10**6
 
 
 # The draws run random.Random.randrange's rejection loop on getrandbits
@@ -607,7 +678,7 @@ def test_randbelow_matches_randrange(n):
 
 
 def old_draw(fld, rng):
-    """The payload the old randint/randrange form drew, quaternions as q_parts."""
+    """The value the old randint/randrange form drew: rationals as Fractions, quaternions as q_parts."""
     if isinstance(fld, GaloisField):
         return rng.randrange(fld.p)
     bound = RANDOM_COEFF_BOUND
@@ -624,7 +695,8 @@ def test_random_element_matches_the_randint_draws(fld):
         ours, old = random.Random(seed), random.Random(seed)
         for _ in range(40):
             x = fld.random_element(ours)
-            assert (q_parts(x) if fld is QUATERNION else x.value) == old_draw(fld, old)
+            got = q_parts(x) if fld is QUATERNION else r_value(x) if fld is RATIONAL else x.value
+            assert got == old_draw(fld, old)
             assert ours.getstate() == old.getstate()
 
 
