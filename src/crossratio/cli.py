@@ -6,9 +6,9 @@ desargues --seed.  Results are exact at any size: the CLI lifts Python's
 limit on the digits of an int printed in decimal.  Exit codes are
 stable: 0 success, 2 unparseable input or bad configuration, 3 violated
 precondition (any fields.PreconditionError), 4 a fourth point that exists
-only at infinity (InfiniteSolutionError, a PreconditionError caught
-first), 5 I/O failure.  A verification or Desargues run that completes but
-finds failures exits 1.
+only at infinity (ratio.InfiniteSolutionError), 5 I/O failure.  main reads
+codes 3 and 4 from the error's class attribute exit_code.  A verification
+or Desargues run that completes but finds failures exits 1.
 
 Bad configuration includes a GF modulus of PRIME_TEST_LIMIT (about
 3.3e24) or more, a `verify` field too small to give some check any valid
@@ -18,48 +18,31 @@ input (gf:2 and gf:3), and a `desargues --count` below 1.
 parser, built on its first call and reused after, since argparse leaves a
 parser unchanged while parsing.  `build_parser()` returns a fresh parser.
 
-Importing this module loads neither the verification engine nor
-hashlib: verify and desargues import them when they run.  This keeps a
-one-shot process short.
+Importing this module and calling build_parser() load only fields and svg
+from the package, and neither json nor fractions.  Each subcommand imports
+what it uses when it runs: eval and solve the ratio layer, construct the
+plane layer, desargues the plane layer and hashlib, and verify the
+verification engine, which loads ratio and plane.  json loads only for
+--format json, and fractions only where fields takes or returns a
+Fraction.  This keeps a one-shot process short.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .fields import Field, PreconditionError, RationalField, field_by_name
-from .plane import (
-    Chart,
-    DegenerateConfigurationError,
-    DesarguesConfig,
-    GenerationFailureError,
-    HypothesisViolationError,
-    PlanePoint,
-    check_desargues,
-    construct_product,
-    construct_sum,
-    default_aux,
-    desargues_conclusion,
-    generate_desargues_config,
-)
-from .ratio import ExtendedPoint, InfiniteSolutionError, cross_ratio, solve_fourth_point
 from .svg import render_construction
 
 
-def _parse_point(field: Field, text: str) -> PlanePoint:
+def _parse_xy(field: Field, text: str) -> tuple:
+    """The two coordinates of a point literal 'x,y'."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"point literal must be 'x,y', got {text!r}")
-    return PlanePoint(field.parse(parts[0]), field.parse(parts[1]))
-
-
-def _parse_extended(field: Field, text: str) -> ExtendedPoint:
-    if text.strip() == "inf":
-        return ExtendedPoint.infinity(field)
-    return ExtendedPoint.finite(field.parse(text))
+    return field.parse(parts[0]), field.parse(parts[1])
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -70,23 +53,36 @@ def _emit(text: str, out: str | None) -> None:
             sink.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_json(payload, out: str | None, indent: int | None = None) -> None:
+    import json  # loaded only for --format json
+
+    _emit(json.dumps(payload, indent=indent), out)
+
+
 def _cmd_eval(args) -> int:
+    from .ratio import ExtendedPoint, cross_ratio
+
     field = field_by_name(args.field)
-    points = [_parse_extended(field, lit) for lit in (args.A, args.B, args.C, args.D)]
+    points = [
+        ExtendedPoint(field, None if lit.strip() == "inf" else field.parse(lit))
+        for lit in (args.A, args.B, args.C, args.D)
+    ]
     result = cross_ratio(*points)
     if args.fmt == "json":
-        _emit(json.dumps({"field": field.name, "result": str(result)}), args.out)
+        _emit_json({"field": field.name, "result": str(result)}, args.out)
     else:
         _emit(str(result), args.out)
     return 0
 
 
 def _cmd_solve(args) -> int:
+    from .ratio import solve_fourth_point
+
     field = field_by_name(args.field)
     r, a, b, c = (field.parse(lit) for lit in (args.R, args.A, args.B, args.C))
     d = solve_fourth_point(r, a, b, c)
     if args.fmt == "json":
-        _emit(json.dumps({"field": field.name, "result": str(d)}), args.out)
+        _emit_json({"field": field.name, "result": str(d)}, args.out)
     else:
         _emit(str(d), args.out)
     return 0
@@ -123,17 +119,26 @@ def _cmd_verify(args) -> int:
 
     field = field_by_name(args.field)
     report = run_suite(field, args.seed, args.samples)
-    _emit(json.dumps(report, indent=2) if args.fmt == "json" else format_report(report), args.out)
+    if args.fmt == "json":
+        _emit_json(report, args.out, indent=2)
+    else:
+        _emit(format_report(report), args.out)
     return 0 if report["passed"] else 1
 
 
 def _cmd_construct(args) -> int:
+    from .plane import (
+        Chart,
+        DegenerateConfigurationError,
+        PlanePoint,
+        construct_product,
+        construct_sum,
+        default_aux,
+    )
+
     field = field_by_name(args.field)
-    o = _parse_point(field, args.O)
-    i = _parse_point(field, args.I)
-    a = _parse_point(field, args.A)
-    b = _parse_point(field, args.B)
-    aux = _parse_point(field, args.aux) if args.aux else None
+    o, i, a, b = (PlanePoint(*_parse_xy(field, lit)) for lit in (args.O, args.I, args.A, args.B))
+    aux = PlanePoint(*_parse_xy(field, args.aux)) if args.aux else None
     chart = Chart(o, i)
     build = construct_sum if args.op == "add" else construct_product
     trace = build(chart, a, b, default_aux(chart) if aux is None else aux)
@@ -156,7 +161,7 @@ def _cmd_construct(args) -> int:
             "result": points["C"],  # trace.result is point C, already formatted
             "value": str(value),
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out, indent=2)
     else:
         lines = []
         for label, line in trace.lines:
@@ -169,6 +174,8 @@ def _cmd_construct(args) -> int:
 
 
 def _tamper(cfg):
+    from .plane import DesarguesConfig, PlanePoint
+
     one = cfg.c_prime.field.one
     moved = PlanePoint(cfg.c_prime.x + one, cfg.c_prime.y + one)
     return DesarguesConfig(cfg.a, cfg.b, cfg.c, cfg.a_prime, cfg.b_prime, moved, cfg.center)
@@ -176,6 +183,14 @@ def _tamper(cfg):
 
 def _cmd_desargues(args) -> int:
     import hashlib
+
+    from .plane import (
+        GenerationFailureError,
+        HypothesisViolationError,
+        check_desargues,
+        desargues_conclusion,
+        generate_desargues_config,
+    )
 
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
@@ -213,7 +228,7 @@ def _cmd_desargues(args) -> int:
             "failures": failures,
             "config_hash": digest,
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out, indent=2)
     else:
         lines = [f"{passes}/{args.count} pass", f"config-hash: {digest}"]
         lines.extend(failures)
@@ -288,12 +303,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InfiniteSolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5

@@ -32,15 +32,15 @@ only by a divisor of it, a rational product or quotient cross-cancels
 before it multiplies, and a quaternion quotient cancels its scalar
 denominators first.  The RationalField and QuaternionField docstrings list
 each kernel's gcds.  Fraction appears only at the edges: coercion takes
-one, QuaternionField.norm returns one, and quaternion literals sum their
-coefficients as Fractions.
+one and QuaternionField.norm returns one, and only these two load the
+fractions module.  Rational and quaternion literals are read as ints: a
+quaternion literal sums each unit's coefficients over a common denominator.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 # Bound on random numerators/denominators: keeps bignum growth desk-scale.
 RANDOM_COEFF_BOUND = 1000
@@ -83,7 +83,13 @@ def _random_fraction_terms(getrandbits) -> tuple[int, int]:
 
 
 class PreconditionError(ValueError):
-    """Base of every error raised for input that breaks a stated precondition (CLI exit 3)."""
+    """Base of every error raised for input that breaks a stated precondition.
+
+    The CLI exits with the class's exit_code: 3 here, and 4 for
+    ratio.InfiniteSolutionError.
+    """
+
+    exit_code = 3
 
 
 class FieldMismatchError(PreconditionError):
@@ -224,6 +230,8 @@ class RationalField(Field):
     def _coerce(self, raw):
         if isinstance(raw, int):
             return (int(raw), 1)  # int(): a bool becomes the int it equals
+        from fractions import Fraction
+
         if isinstance(raw, Fraction):
             return (raw.numerator, raw.denominator)
         raise TypeError(f"cannot make a rational from {type(raw).__name__}")
@@ -430,15 +438,20 @@ class QuaternionField(Field):
     - quotients x^-1 * y (_ldiv) and x * y^-1 (_rdiv): the scalar
       denominators cancel first, so one conjugate product and one gcd give
       the reduced result, and no inverse is built to be multiplied away;
-    - format: one gcd per coefficient, with no Fraction built.
+    - format: one gcd per coefficient, with no Fraction built;
+    - parse: the terms' ints summed over the lcm of their denominators,
+      then one gcd of the five ints.
     """
 
     name = "quaternion"
     commutative = False
 
     def _coerce(self, raw):
-        if isinstance(raw, (int, Fraction)):
-            raw = Fraction(raw)
+        if isinstance(raw, int):
+            return (int(raw), 0, 0, 0, 1)  # int(): a bool becomes the int it equals
+        from fractions import Fraction
+
+        if isinstance(raw, Fraction):
             return (raw.numerator, 0, 0, 0, raw.denominator)
         if isinstance(raw, tuple) and len(raw) == 4:
             parts = [Fraction(part) for part in raw]
@@ -521,6 +534,8 @@ class QuaternionField(Field):
 
     @staticmethod
     def _norm(q):
+        from fractions import Fraction
+
         a, b, c, d, n = q
         return Fraction(a * a + b * b + c * c + d * d, n * n)
 
@@ -568,7 +583,7 @@ class QuaternionField(Field):
         return "".join(terms) or "0"
 
     def _parse(self, text):
-        return self._coerce(_parse_quaternion(text))
+        return _parse_quaternion(text)
 
     def __eq__(self, other):
         return isinstance(other, QuaternionField)
@@ -628,6 +643,7 @@ _WHITESPACE_RE = re.compile(r"\s+")
 # re.ASCII: \d is [0-9] only, so no other script's digits get through to int().
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$", re.ASCII)
 _QUAT_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)([ijk])?|([ijk]))", re.ASCII)
+_UNIT_SLOT = {"": 0, "i": 1, "j": 2, "k": 3}
 
 
 def _parse_rational(text: str) -> tuple[int, int]:
@@ -644,27 +660,37 @@ def _parse_rational(text: str) -> tuple[int, int]:
     return int(num), d
 
 
-def _parse_quaternion(text: str):
+def _parse_quaternion(text: str) -> tuple:
+    """The payload of a quaternion literal.
+
+    Each term's coefficient is added to its unit's numerator over a common
+    denominator, the lcm of the terms' denominators, and the sum is reduced
+    once at the end.
+    """
     if not text:
         raise ValueError("empty quaternion literal")
-    parts = [Fraction(0)] * 4
-    slot = {"": 0, "i": 1, "j": 2, "k": 3}
+    nums = [0, 0, 0, 0]
+    den = 1
     pos = 0
-    first = True
     while pos < len(text):
         m = _QUAT_TERM_RE.match(text, pos)
-        if not m or (not first and not m.group(1)):
+        if not m or (pos and not m.group(1)):
             raise ValueError(f"invalid quaternion literal: {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
         if m.group(4) is not None:
-            coeff, unit = Fraction(1), m.group(4)
+            n, d, unit = 1, 1, m.group(4)
         else:
-            coeff = Fraction(*_parse_rational(m.group(2)))
+            n, d = _parse_rational(m.group(2))
             unit = m.group(3) or ""
-        parts[slot[unit]] += sign * coeff
+        if m.group(1) == "-":
+            n = -n
+        g = math.gcd(den, d)
+        if g != d:  # widen den to lcm(den, d)
+            s = d // g
+            nums = [num * s for num in nums]
+            den *= s
+        nums[_UNIT_SLOT[unit]] += n * (den // d)
         pos = m.end()
-        first = False
-    return tuple(parts)
+    return _reduced(*nums, den)
 
 
 def field_by_name(name: str) -> Field:

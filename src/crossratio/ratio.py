@@ -44,6 +44,8 @@ class InvalidRatioPointError(PreconditionError):
 class InfiniteSolutionError(PreconditionError):
     """The unique fourth point exists only at infinity."""
 
+    exit_code = 4
+
 
 class ExtendedPoint:
     """A field element or the point at infinity, tagged with its field."""

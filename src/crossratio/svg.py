@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from .plane import Construction, DegenerateConfigurationError, PlaneLine
-
 
 def _f(value) -> float:
     # A rational payload is (n, d); int true division rounds n / d correctly,
@@ -21,11 +19,15 @@ def _f(value) -> float:
     try:
         return round(n / d, 6)
     except OverflowError:
+        from .plane import DegenerateConfigurationError
+
         raise DegenerateConfigurationError("an SVG coordinate is out of float range") from None
 
 
 def _fmt(x: float) -> str:
     if not math.isfinite(x):
+        from .plane import DegenerateConfigurationError
+
         raise DegenerateConfigurationError("SVG figure is too large to draw in floats")
     return f"{x:.6g}"
 

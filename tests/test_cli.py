@@ -5,6 +5,7 @@ Exit code contract: 0 ok, 1 failed verification, 2 parse/config,
 """
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -640,6 +641,38 @@ def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code):
     assert capsys.readouterr() == ("", "error: boom\n")
 
 
+class LateInfiniteSolutionError(InfiniteSolutionError):
+    """A subclass defined outside the package keeps its base's exit code."""
+
+
+def test_exit_code_is_a_class_attribute(monkeypatch, capsys):
+    codes = {
+        CrossRatioArgumentError: 3,
+        InvalidRatioPointError: 3,
+        DivisionByZeroError: 3,
+        FieldMismatchError: 3,
+        IdenticalPointsError: 3,
+        IdenticalLinesError: 3,
+        NotOnLineError: 3,
+        AuxiliaryPointError: 3,
+        DegenerateConfigurationError: 3,
+        HypothesisViolationError: 3,
+        PreconditionError: 3,
+        InfiniteSolutionError: 4,
+        LateInfiniteSolutionError: 4,
+    }
+    assert {error: error.exit_code for error in codes} == codes
+    assert not hasattr(ValueError, "exit_code")  # plain ValueError exits 2 by its own except
+
+    def handler(args):
+        raise LateInfiniteSolutionError("boom")
+
+    parsed = argparse.Namespace(handler=handler)
+    monkeypatch.setattr(cli, "_parser", lambda: SimpleNamespace(parse_args=lambda argv: parsed))
+    assert main(["eval"]) == 4
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+
 def test_division_by_zero_is_still_a_zero_division_error():
     assert issubclass(DivisionByZeroError, ZeroDivisionError)
 
@@ -694,7 +727,10 @@ import contextlib, io, json, sys
 preloaded = set(sys.modules)
 import crossratio.cli
 crossratio.cli.build_parser()
-lazy = ("crossratio.verify", "dataclasses", "hashlib", "datetime")
+lazy = (
+    "crossratio.verify", "crossratio.plane", "crossratio.ratio",
+    "dataclasses", "hashlib", "datetime", "fractions", "decimal",
+)
 loaded = [name for name in lazy if name in sys.modules and name not in preloaded]
 answers = []
 for argv in json.loads(sys.argv[1]):
@@ -742,6 +778,68 @@ def test_import_loads_no_subcommand_dependencies(tmp_path):
     )
     assert sha256(figure.read_text()) == SVG_DIGESTS["add"]
     assert ver_code == 0 and sha256(ver_out) == TEXT_DIGESTS[("gf:5", "25")]
+
+
+# Runs one request in a fresh interpreter, without importing json itself.
+# Prints the watched modules loaded by the import (with build_parser) and
+# then by the request, leaving out those loaded before the import.
+SUBCOMMAND_GUARD = """
+import contextlib, io, sys
+watched = ("crossratio.plane", "crossratio.ratio", "fractions", "decimal", "json")
+preloaded = set(sys.modules)
+def loaded():
+    return [name for name in watched if name in sys.modules and name not in preloaded]
+import crossratio.cli
+crossratio.cli.build_parser()
+at_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = crossratio.cli.main(sys.argv[1:])
+print(repr((at_import, loaded(), code, out.getvalue())))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, out",
+    [
+        (
+            ["eval", "--field", "quaternion", "i", "j", "k", "1+i"],
+            ["crossratio.ratio"],
+            "1/2+1/2i-1/2j+3/2k\n",
+        ),
+        (["solve", "--field", "rational", "2", "3", "1", "0"], ["crossratio.ratio"], "-3\n"),
+        (
+            ["solve", "--field", "rational", "--format", "json", "2", "3", "1", "0"],
+            ["crossratio.ratio", "json"],
+            '{"field": "rational", "result": "-3"}\n',
+        ),
+        (
+            ["construct", "add", "--O", "0,0", "--I", "1,0", "--A", "2,0", "--B", "3,0"],
+            ["crossratio.plane"],
+            "line [axis]: y = x*(0) + (0)\n"
+            "line [O-B1]: x = 0\n"
+            "line [axis parallel through B1]: y = x*(0) + (1)\n"
+            "line [O-B1 parallel through A]: x = 2\n"
+            "line [B-B1]: y = x*(-1/3) + (1)\n"
+            "line [B-B1 parallel through P1]: y = x*(-1/3) + (5/3)\n"
+            "P1 = 2,1\n"
+            "C has coordinate 5\n"
+            "5,0\n",
+        ),
+    ],
+    ids=["eval-quaternion", "solve-rational", "solve-json", "construct"],
+)
+def test_each_subcommand_loads_only_what_it_uses(argv, loaded, out):
+    src = str(pathlib.Path(crossratio.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SUBCOMMAND_GUARD, *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, after, code, got = ast.literal_eval(proc.stdout)
+    assert (at_import, after, code, got) == ([], loaded, 0, out)
 
 
 def test_package_root_loads_no_submodule():

@@ -6,14 +6,19 @@ modular exponentiation) rather than trusted from the implementation.
 """
 
 import math
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crossratio
 from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
 from crossratio.fields import (
     RANDOM_COEFF_BOUND,
@@ -394,6 +399,53 @@ def test_rational_coercion_is_canonical():
         RATIONAL.element(0.5)
 
 
+def test_quaternion_coercion_is_canonical():
+    # an int, a bool included, becomes the int it equals; a Fraction is read in lowest terms
+    for x in (QUATERNION.element(True), QUATERNION.one):
+        assert str(x) == "1" and x.value == (1, 0, 0, 0, 1)
+        assert all(type(part) is int for part in x.value)
+    assert QUATERNION.zero.value == (0, 0, 0, 0, 1)
+    x = QUATERNION.element(Fraction(6, -4))
+    assert str(x) == "-3/2" and x.value == (-3, 0, 0, 0, 2)
+    assert_reduced(x)
+    with pytest.raises(TypeError, match="^cannot make a quaternion from float$"):
+        QUATERNION.element(0.5)
+
+
+# Runs in a fresh interpreter: whether fractions is loaded at startup, after
+# importing fields, after int, literal and format work, and after the
+# expression in argv[1].
+FRACTIONS_GUARD = """
+import sys
+loaded = ["fractions" in sys.modules]
+from crossratio.fields import QuaternionField, RationalField
+q, r = QuaternionField(), RationalField()
+loaded.append("fractions" in sys.modules)
+str(q.one * q.element(True) + q.zero + q.parse("2/4+i+i")), str(r.parse("-6/9") + r.element(3))
+loaded.append("fractions" in sys.modules)
+eval(sys.argv[1])
+loaded.append("fractions" in sys.modules)
+print(loaded)
+"""
+
+
+@pytest.mark.parametrize("step", ["q.element((1, 2, 3, 4))", "q.norm(q.parse('1+i'))"])
+def test_fractions_loads_only_where_a_fraction_comes_in_or_goes_out(step):
+    src = str(pathlib.Path(crossratio.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FRACTIONS_GUARD, step],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip()
+    if loaded.startswith("[True"):
+        pytest.skip("this interpreter loads fractions at startup")
+    assert loaded == "[False, False, False, True]"
+
+
 def test_gf_division_kernels_match_mul_and_inv_exhaustively():
     for a in range(7):
         for b in range(1, 7):
@@ -581,7 +633,12 @@ def test_quaternion_equality_and_hash_match_oracle(size, data):
     st.lists(
         st.tuples(
             st.sampled_from("+-"),
-            st.one_of(st.none(), st.fractions(min_value=0, max_value=50, max_denominator=9)),
+            st.one_of(
+                st.none(),
+                st.integers(min_value=0, max_value=50).map(str),
+                st.tuples(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=12))
+                .map(lambda nd: f"{nd[0]}/{nd[1]}"),
+            ),
             st.sampled_from(["", "i", "j", "k"]),
         ).filter(lambda term: term[1] is not None or term[2]),
         min_size=1,
@@ -589,13 +646,45 @@ def test_quaternion_equality_and_hash_match_oracle(size, data):
     )
 )
 def test_quaternion_parse_matches_oracle(terms):
-    # repeated units, leading '+', explicit 1 and 0 coefficients: spellings str() never makes
-    text = "".join(
-        sign + ("" if coeff is None else str(coeff)) + unit for sign, coeff, unit in terms
-    )
+    # spellings str() never makes: repeated units, a leading '+', explicit 1 and 0
+    # coefficients, and unreduced ones such as 2/4 and 0/7
+    text = "".join(sign + ("" if coeff is None else coeff) + unit for sign, coeff, unit in terms)
     x = QUATERNION.parse(text)
     assert q_parts(x) == q_parse(text)
     assert_reduced(x)
+
+
+@pytest.mark.parametrize(
+    "text, payload",
+    [
+        ("2/4i", (0, 1, 0, 0, 2)),
+        ("0/7j", (0, 0, 0, 0, 1)),
+        ("-6/9", (-2, 0, 0, 0, 3)),
+        ("2/4+i+i", (1, 4, 0, 0, 2)),
+        ("i-i+3/6k-1/4k", (0, 0, 0, 1, 4)),
+        ("-0/3+4/8-2/4", (0, 0, 0, 0, 1)),
+    ],
+)
+def test_quaternion_parse_reduces_unreduced_spellings(text, payload):
+    assert QUATERNION.parse(text).value == payload
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0i", "zero denominator in literal: '1/0'"),
+        ("", "empty quaternion literal"),
+        ("i+", "invalid quaternion literal: 'i+'"),
+        ("1++i", "invalid quaternion literal: '1++i'"),
+        ("\u0661", "invalid quaternion literal: '\u0661'"),  # ARABIC-INDIC DIGIT ONE
+        ("1.5i", "invalid quaternion literal: '1.5i'"),
+    ],
+    ids=["zero-denominator", "empty", "trailing-sign", "double-sign", "arabic-indic-one", "decimal-point"],
+)
+def test_quaternion_parse_error_messages(text, message):
+    with pytest.raises(ValueError) as exc:
+        QUATERNION.parse(text)
+    assert str(exc.value) == message
 
 
 def test_random_quaternion_is_four_rational_draws():
