@@ -188,7 +188,6 @@ def _cmd_desargues(args) -> int:
         GenerationFailureError,
         HypothesisViolationError,
         check_desargues,
-        desargues_conclusion,
         generate_desargues_config,
     )
 
@@ -201,7 +200,7 @@ def _cmd_desargues(args) -> int:
     for index in range(args.count):
         sub_seed = f"{args.seed}:{index}"
         try:
-            cfg = generate_desargues_config(field, sub_seed, args.mode)
+            cfg, ok = generate_desargues_config(field, sub_seed, args.mode)
         except GenerationFailureError as exc:
             failures.append(f"config {index}: {exc}")
             continue
@@ -209,8 +208,9 @@ def _cmd_desargues(args) -> int:
             cfg = _tamper(cfg)
         canonicals.append(cfg.canonical())
         try:
-            # generate_desargues_config validated cfg, so only a tampered one is validated again
-            ok = check_desargues(cfg) if args.flip_c_prime else desargues_conclusion(cfg)
+            # the generator's verdict is for the configuration it drew, not the tampered one
+            if args.flip_c_prime:
+                ok = check_desargues(cfg)
         except HypothesisViolationError as exc:
             failures.append(f"config {index}: {exc}")
             continue

@@ -12,9 +12,10 @@ arithmetic of the coordinates.  construct_sum_and_product builds both on
 one auxiliary point, checking the operands and drawing the lines O-aux and
 B-aux once.  The module also ships a checker and a seeded generator for
 Desargues configurations (two triangles in parallel or central perspective
-with two pairs of parallel sides).  desargues_conclusion tests only the
-conclusion, for a configuration already validated, such as one the
-generator returns; check_desargues validates first.
+with two pairs of parallel sides).  check_desargues is the one checker: it
+draws nine lines once, raises on the first violated hypothesis clause and
+returns whether the conclusion AC parallel to A'C' holds.  The generator
+returns each configuration with that verdict, as (cfg, holds).
 
 The primitives that every construction and check runs through
 (line_through, parallel_through, intersect, PlaneLine.contains,
@@ -191,23 +192,17 @@ def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint | None:
         raise IdenticalLinesError("intersection of a line with itself is the line")
     if parallel(l1, l2):
         return None
-    if l1.is_vertical:
-        x = l1.intercept
-        return PlanePoint(x, x * l2.slope + l2.intercept)
-    if l2.is_vertical:
-        x = l2.intercept
-        return PlanePoint(x, x * l1.slope + l1.intercept)
+    if l1.is_vertical or l2.is_vertical:
+        # parallel() above took the pair of vertical lines
+        vertical, sloped = (l1, l2) if l1.is_vertical else (l2, l1)
+        x = vertical.intercept
+        y = f._add(f._mul(x.value, sloped.slope.value), sloped.intercept.value)
+        return PlanePoint(x, Element(f, y))
     # x*m1 + b1 = x*m2 + b2 solved by right division by (m1 - m2), which
     # is nonzero: parallel() above took every pair of equal slopes
     m1, b1 = l1.slope.value, l1.intercept.value
     x = f._rdiv(f._sub(l2.intercept.value, b1), f._sub(m1, l2.slope.value))
     return PlanePoint(Element(f, x), Element(f, f._add(f._mul(x, m1), b1)))
-
-
-def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
-    if p == q or p == r or q == r:
-        return True
-    return line_through(p, q).contains(r)
 
 
 class Chart:
@@ -410,8 +405,13 @@ class DesarguesConfig:
         return " ".join(parts)
 
 
-def validate_desargues_config(cfg: DesarguesConfig) -> None:
-    """Check every hypothesis clause, raising on the first violation."""
+def check_desargues(cfg: DesarguesConfig) -> bool:
+    """Whether AC is parallel to A'C', once every hypothesis clause holds.
+
+    The clauses are checked in order and the first violated one raises
+    HypothesisViolationError.  Each of the nine lines is drawn once; the
+    conclusion reads AC and A'C' from the "five distinct lines" clause.
+    """
 
     def fail(clause: str):
         raise HypothesisViolationError(f"hypothesis violated: {clause}")
@@ -449,17 +449,7 @@ def validate_desargues_config(cfg: DesarguesConfig) -> None:
         fail("sides BC and B'C' must be parallel")
     if side_bc == side_bc2:
         fail("sides BC and B'C' must be distinct lines")
-
-
-def desargues_conclusion(cfg: DesarguesConfig) -> bool:
-    """Whether the conclusion AC parallel to A'C' holds; hypotheses unchecked."""
-    return parallel(line_through(cfg.a, cfg.c), line_through(cfg.a_prime, cfg.c_prime))
-
-
-def check_desargues(cfg: DesarguesConfig) -> bool:
-    """Validate the hypotheses, then test the conclusion AC parallel to A'C'."""
-    validate_desargues_config(cfg)
-    return desargues_conclusion(cfg)
+    return parallel(side_ac, side_ac2)
 
 
 def random_point(field: Field, rng: random.Random) -> PlanePoint:
@@ -470,11 +460,13 @@ def _draw_config(field: Field, rng: random.Random, mode: str) -> DesarguesConfig
     # No intersect below returns None: its two lines are parallel only when
     # they are one line (in parallel mode, L(a2 || AB) || L(b || AA') forces
     # AA' = AB, so both lines are AB), and then it raises IdenticalLinesError,
-    # which generate_desargues_config retries on.
+    # which generate_desargues_config retries on, as it does on the
+    # IdenticalPointsError of line_through(a, b) when a == b.
     a, b, c = (random_point(field, rng) for _ in range(3))
-    if collinear(a, b, c):
+    side_ab = line_through(a, b)
+    if side_ab.contains(c):
         return None
-    side_ab, side_bc = line_through(a, b), line_through(b, c)
+    side_bc = line_through(b, c)
     if mode == "parallel":
         dx, dy = field.random_element(rng), field.random_element(rng)
         if dx.is_zero and dy.is_zero:
@@ -497,11 +489,14 @@ def _draw_config(field: Field, rng: random.Random, mode: str) -> DesarguesConfig
 GENERATION_RETRIES = 100
 
 
-def generate_desargues_config(field: Field, seed: int | str, mode: str = "parallel") -> DesarguesConfig:
+def generate_desargues_config(
+    field: Field, seed: int | str, mode: str = "parallel"
+) -> tuple[DesarguesConfig, bool]:
     """Seeded random configuration satisfying every hypothesis clause.
 
-    Rejection-samples up to GENERATION_RETRIES times; the stream depends
-    only on (field name, mode, seed).
+    Returns (cfg, holds), where holds is check_desargues(cfg), the verdict of
+    the check that accepted cfg.  Rejection-samples up to GENERATION_RETRIES
+    times; the stream depends only on (field name, mode, seed).
     """
     if mode not in ("parallel", "concurrent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -514,10 +509,10 @@ def generate_desargues_config(field: Field, seed: int | str, mode: str = "parall
         if cfg is None:
             continue
         try:
-            validate_desargues_config(cfg)
+            holds = check_desargues(cfg)
         except HypothesisViolationError:
             continue
-        return cfg
+        return cfg, holds
     raise GenerationFailureError(
         f"no valid {mode} configuration over {field} after {GENERATION_RETRIES} draws"
     )

@@ -40,7 +40,6 @@ from .plane import (
     construct_product,
     construct_sum,
     construct_sum_and_product,
-    desargues_conclusion,
     generate_desargues_config,
     intersect,
     line_through,
@@ -857,11 +856,10 @@ def _eval_desargues(field, inputs):
     for mode in ("parallel", "concurrent"):
         tags = [f"seed={sub_seed}", f"mode={mode}"]
         try:
-            cfg = generate_desargues_config(field, sub_seed, mode)
+            cfg, holds = generate_desargues_config(field, sub_seed, mode)
         except GenerationFailureError as exc:
             fails.append(_witness(tags, str(exc), "a valid configuration"))
             continue
-        # the generator returns only configurations it has validated
-        if not desargues_conclusion(cfg):
+        if not holds:
             fails.append(_witness(tags + [cfg.canonical()], "sides not parallel", "parallel"))
     return fails

@@ -166,7 +166,7 @@ def test_criterion_08_desargues():
         # each sample draws and checks one configuration per mode
         assert_clean(run_check("desargues_axiom_holds", field, 200, SEED), 200)
         for mode in ("parallel", "concurrent"):
-            cfg = generate_desargues_config(field, seed=SEED, mode=mode)
+            cfg, _ = generate_desargues_config(field, seed=SEED, mode=mode)
             moved = PlanePoint(cfg.c_prime.x + field.one, cfg.c_prime.y + field.one)
             tampered = DesarguesConfig(
                 a=cfg.a, b=cfg.b, c=cfg.c,

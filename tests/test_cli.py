@@ -570,6 +570,35 @@ def test_desargues_tamper_flag_alias(capsys):
     assert code == 1
 
 
+DESARGUES_GOLDEN = [
+    (
+        ("--field", "gf:101", "--count", "2", "--seed", "1", "--mode", "concurrent"),
+        0,
+        "2/2 pass\nconfig-hash: ec3b89a82febce91\n",
+    ),
+    (
+        ("--field", "quaternion", "--count", "2", "--seed", "7", "--mode", "concurrent"),
+        0,
+        "2/2 pass\nconfig-hash: eb73bcb1a0cca731\n",
+    ),
+    # the failure lines pin the order in which the hypothesis clauses are checked
+    (
+        ("--field", "gf:5", "--count", "3", "--seed", "4", "--flip-c-prime"),
+        1,
+        "0/3 pass\n"
+        "config-hash: 1864627a8fbc489f\n"
+        "config 0: hypothesis violated: vertices A', B', C' must be pairwise distinct\n"
+        "config 1: hypothesis violated: vertices A', B', C' must be pairwise distinct\n"
+        "config 2: hypothesis violated: the lines AA', BB', CC', AC, A'C' must be pairwise distinct\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, code, expected", DESARGUES_GOLDEN)
+def test_desargues_text_output_is_pinned(capsys, args, code, expected):
+    assert run_cli(capsys, "desargues", *args) == (code, expected, "")
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_desargues_count_must_be_positive(capsys, count):
     code, out, err = run_cli(capsys, "desargues", "--field", "rational", "--count", count)

@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
+from crossratio import plane
 from crossratio.plane import (
     AuxiliaryPointError,
     Chart,
@@ -22,19 +23,16 @@ from crossratio.plane import (
     PlaneLine,
     PlanePoint,
     check_desargues,
-    collinear,
     construct_product,
     construct_sum,
     construct_sum_and_product,
     default_aux,
-    desargues_conclusion,
     generate_desargues_config,
     intersect,
     line_through,
     parallel,
     parallel_through,
     point,
-    validate_desargues_config,
 )
 from crossratio.fields import FieldMismatchError, GaloisField
 from test_fields import I_Q, J_Q, QUATERNION_COEFFS, quaternion_tuples
@@ -146,7 +144,7 @@ def test_three_noncollinear_points_exist(field):
         PlanePoint(field.one, field.zero),
         PlanePoint(field.zero, field.one),
     )
-    assert not collinear(o, i, up)
+    assert not line_through(o, i).contains(up)
 
 
 # ---------------------------------------------------------------- charts
@@ -494,23 +492,21 @@ def test_desargues_rejects_wrong_mode_data():
         check_desargues(broken)
 
 
-def test_desargues_conclusion_skips_the_hypotheses():
-    assert desargues_conclusion(parallel_mode_example())
-    assert desargues_conclusion(concurrent_mode_example())
-    # AC has slope 1 and A'C' slope 2; the vertex joins are not parallel,
-    # which only check_desargues reports
-    cfg = parallel_mode_example()
-    broken = DesarguesConfig(
-        a=cfg.a, b=cfg.b, c=cfg.c,
-        a_prime=rp(2, 0), b_prime=cfg.b_prime, c_prime=cfg.c_prime, center=cfg.center,
-    )
-    assert desargues_conclusion(broken) is False
-    with pytest.raises(HypothesisViolationError):
-        check_desargues(broken)
+@pytest.mark.parametrize("example", [parallel_mode_example, concurrent_mode_example])
+def test_desargues_check_draws_nine_lines(example, monkeypatch):
+    drawn = []
+
+    def counting_line_through(p, q):
+        drawn.append((p, q))
+        return line_through(p, q)
+
+    monkeypatch.setattr(plane, "line_through", counting_line_through)
+    assert check_desargues(example())
+    assert len(drawn) == 9
 
 
 def test_desargues_tamper_is_detected(field):
-    cfg = generate_desargues_config(field, seed=11, mode="parallel")
+    cfg, _ = generate_desargues_config(field, seed=11, mode="parallel")
     moved = PlanePoint(cfg.c_prime.x + field.one, cfg.c_prime.y + field.one)
     tampered = DesarguesConfig(
         a=cfg.a, b=cfg.b, c=cfg.c,
@@ -525,14 +521,14 @@ def test_desargues_tamper_is_detected(field):
 @pytest.mark.parametrize("mode", ["parallel", "concurrent"])
 def test_generated_configs_satisfy_the_axiom(field, mode):
     for seed in range(12):
-        cfg = generate_desargues_config(field, seed=seed, mode=mode)
+        cfg, holds = generate_desargues_config(field, seed=seed, mode=mode)
         assert (cfg.center is None) == (mode == "parallel")
-        assert check_desargues(cfg) and desargues_conclusion(cfg)
+        assert holds and check_desargues(cfg)
 
 
 def test_generation_is_deterministic(field):
-    a = generate_desargues_config(field, seed=3, mode="concurrent")
-    b = generate_desargues_config(field, seed=3, mode="concurrent")
+    a, _ = generate_desargues_config(field, seed=3, mode="concurrent")
+    b, _ = generate_desargues_config(field, seed=3, mode="concurrent")
     assert a.canonical() == b.canonical()
 
 
