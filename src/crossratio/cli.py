@@ -101,9 +101,10 @@ def format_report(report: dict) -> str:
                 f"{check['redraws']} redraws)"
             )
         else:
+            raised = f", {check['raised']} raised" if "raised" in check else ""
             lines.append(
                 f"FAIL {check['name']}: {check['failures']} failures "
-                f"in {check['samples_run']} samples"
+                f"in {check['samples_run']} samples{raised}"
             )
             for witness in check["witnesses"]:
                 joined = ", ".join(witness["inputs"])

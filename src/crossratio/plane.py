@@ -17,11 +17,23 @@ draws nine lines once, raises on the first violated hypothesis clause and
 returns whether the conclusion AC parallel to A'C' holds.  The generator
 returns each configuration with that verdict, as (cfg, holds).
 
+A PlaneLine stores its slope, the point it was drawn through (its base
+point) and the direction payloads (u, v) it was drawn along, with v =
+u*slope.  line_through(p, q) stores p and q - p, and parallel_through
+copies the slope and direction of its line and stores its own point, with
+no field arithmetic.  contains tests y - y0 = (x - x0)*m against the base
+point (x0, y0), and intersect solves on the difference of the two base
+points, so neither reads an intercept.  The intercept b = y0 - x0*m is
+derived the first time str, ==, hash or the SVG renderer asks for it, and
+then cached, so printed lines, line equality and hashes are those of the
+equation y = x*m + b.  A Chart reads the axis direction, I - O, for
+point_at and coordinate.
+
 The primitives that every construction and check runs through
 (line_through, parallel_through, intersect, PlaneLine.contains,
 Chart.point_at and Chart.coordinate) compute on the field payloads, through
 the field's own _add, _sub and _mul, and divide in one step through its
-_ldiv (a slope (qx - px)^-1 (qy - py)) or _rdiv (a meet or a coordinate),
+_ldiv (a slope u^-1 v) or _rdiv (a meet or a coordinate),
 called only on a divisor the branch has proven nonzero.  They wrap only the
 values they return in Elements.  So each one checks its arguments' fields
 itself, before it looks at the line's kind: a call that mixes unequal fields
@@ -106,33 +118,71 @@ def _shift(p: PlanePoint, dx: Element, dy: Element) -> PlanePoint:
 
 
 class PlaneLine:
-    """A line of the plane: x = intercept, or y = x*slope + intercept."""
+    """A line of the plane: x = intercept, or y = x*slope + intercept.
 
-    __slots__ = ("slope", "intercept")
+    A line stores its slope (None for a vertical line), the point it was
+    drawn through (its base point) and the direction payloads (u, v) it was
+    drawn along, with v = u*slope, so the line is {base + t*(u, v)}.
+    line_through(p, q) stores p and q - p; parallel_through copies the
+    slope and direction and stores its own point.  The intercept, y0 -
+    x0*slope from the base point (x0, y0), or x0 for a vertical line, is
+    derived the first time str, ==, hash or the SVG renderer reads it, and
+    then cached; two lines with equal slope and intercept are one line.
+    """
 
-    def __init__(self, slope: Element | None, intercept: Element):
+    __slots__ = ("slope", "base", "u", "v", "_intercept")
+
+    def __init__(self, slope: Element | None, base: PlanePoint, u, v):
         self.slope = slope  # None encodes a vertical line
-        self.intercept = intercept
+        self.base = base
+        self.u = u
+        self.v = v
 
     @classmethod
     def vertical(cls, c: Element) -> "PlaneLine":
-        return cls(None, c)
+        """The line x = c, drawn through (c, 0) along (0, 1)."""
+        f = c.field
+        line = cls(None, PlanePoint(c, f.zero), f._coerce(0), f._coerce(1))
+        line._intercept = c
+        return line
 
     @classmethod
     def sloped(cls, m: Element, b: Element) -> "PlaneLine":
-        return cls(m, b)
+        """The line y = x*m + b, drawn through (0, b) along (1, m)."""
+        f = b.field
+        line = cls(m, PlanePoint(f.zero, b), f._coerce(1), m.value)
+        line._intercept = b
+        return line
 
     @property
     def is_vertical(self) -> bool:
         return self.slope is None
 
+    @property
+    def intercept(self) -> Element:
+        """x0 of a vertical line, else y0 - x0*slope; derived once from the base point."""
+        try:
+            return self._intercept
+        except AttributeError:
+            pass
+        x0, y0 = self.base.x, self.base.y
+        if self.slope is None:
+            b = x0
+        else:
+            f = x0.field
+            b = Element(f, f._sub(y0.value, f._mul(x0.value, self.slope.value)))
+        self._intercept = b
+        return b
+
     def contains(self, p: PlanePoint) -> bool:
-        f = self.intercept.field
+        x0, y0 = self.base.x, self.base.y
+        f = x0.field
         if p.x.field is not f and p.x.field != f:
             raise FieldMismatchError(f"point over {p.x.field} tested against a line over {f}")
-        if self.is_vertical:
-            return p.x == self.intercept
-        return p.y.value == f._add(f._mul(p.x.value, self.slope.value), self.intercept.value)
+        if self.slope is None:
+            return p.x.value == x0.value
+        # y - y0 = (x - x0)*m
+        return f._sub(p.y.value, y0.value) == f._mul(f._sub(p.x.value, x0.value), self.slope.value)
 
     def __eq__(self, other):
         if not isinstance(other, PlaneLine):
@@ -160,22 +210,19 @@ def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
     if px == qx:
         if py == qy:
             raise IdenticalPointsError("no unique line through a repeated point")
-        return PlaneLine.vertical(p.x)
-    # q.x - p.x is nonzero: the branch above took every p.x == q.x
-    m = f._ldiv(f._sub(qx, px), f._sub(qy, py))
-    return PlaneLine.sloped(Element(f, m), Element(f, f._sub(py, f._mul(px, m))))
+        return PlaneLine(None, p, f._sub(qx, px), f._sub(qy, py))
+    # u = q.x - p.x is nonzero: the branch above took every p.x == q.x
+    u, v = f._sub(qx, px), f._sub(qy, py)
+    return PlaneLine(Element(f, f._ldiv(u, v)), p, u, v)
 
 
 def parallel_through(l: PlaneLine, p: PlanePoint) -> PlaneLine:
     """The unique line through p with the same direction as l."""
     f = p.x.field
-    g = l.intercept.field
+    g = l.base.x.field
     if g is not f and g != f:
         raise FieldMismatchError(f"no parallel to a line over {g} through a point over {f}")
-    if l.is_vertical:
-        return PlaneLine.vertical(p.x)
-    m = l.slope
-    return PlaneLine.sloped(m, Element(f, f._sub(p.y.value, f._mul(p.x.value, m.value))))
+    return PlaneLine(l.slope, p, l.u, l.v)
 
 
 def parallel(l1: PlaneLine, l2: PlaneLine) -> bool:
@@ -185,24 +232,32 @@ def parallel(l1: PlaneLine, l2: PlaneLine) -> bool:
 
 def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint | None:
     """The common point of two distinct lines, or None when parallel."""
-    f = l1.intercept.field
-    if l2.intercept.field is not f and l2.intercept.field != f:
-        raise FieldMismatchError(f"no intersection of lines over {f} and {l2.intercept.field}")
-    if l1 == l2:
-        raise IdenticalLinesError("intersection of a line with itself is the line")
-    if parallel(l1, l2):
+    p, q = l1.base, l2.base
+    f = p.x.field
+    if q.x.field is not f and q.x.field != f:
+        raise FieldMismatchError(f"no intersection of lines over {f} and {q.x.field}")
+    m1, m2 = l1.slope, l2.slope
+    if m1 == m2:
+        # parallel lines are one line when one holds the other's base point
+        if l1.contains(q):
+            raise IdenticalLinesError("intersection of a line with itself is the line")
         return None
-    if l1.is_vertical or l2.is_vertical:
-        # parallel() above took the pair of vertical lines
-        vertical, sloped = (l1, l2) if l1.is_vertical else (l2, l1)
-        x = vertical.intercept
-        y = f._add(f._mul(x.value, sloped.slope.value), sloped.intercept.value)
+    if m1 is None or m2 is None:
+        # the branch above took the pair of vertical lines
+        x, sloped = (p.x, l2) if m1 is None else (q.x, l1)
+        s = sloped.base
+        y = f._add(s.y.value, f._mul(f._sub(x.value, s.x.value), sloped.slope.value))
         return PlanePoint(x, Element(f, y))
-    # x*m1 + b1 = x*m2 + b2 solved by right division by (m1 - m2), which
-    # is nonzero: parallel() above took every pair of equal slopes
-    m1, b1 = l1.slope.value, l1.intercept.value
-    x = f._rdiv(f._sub(l2.intercept.value, b1), f._sub(m1, l2.slope.value))
-    return PlanePoint(Element(f, x), Element(f, f._add(f._mul(x, m1), b1)))
+    # P + t*(u1, v1) lies on y - Qy = (x - Qx)*m2 when, with w = P - Q,
+    # t*(v1 - u1*m2) = wx*m2 - wy.  v1 - u1*m2 = u1*(m1 - m2) is nonzero:
+    # the first branch took every pair of equal slopes.  Moving along the
+    # direction keeps the quotient m1 = u1^-1 v1 out of the products.
+    m2 = m2.value
+    u, v = l1.u, l1.v
+    px, py = p.x.value, p.y.value
+    wx, wy = f._sub(px, q.x.value), f._sub(py, q.y.value)
+    t = f._rdiv(f._sub(f._mul(wx, m2), wy), f._sub(v, f._mul(u, m2)))
+    return PlanePoint(Element(f, f._add(px, f._mul(t, u))), Element(f, f._add(py, f._mul(t, v))))
 
 
 class Chart:
@@ -210,7 +265,8 @@ class Chart:
 
     The axis is built once, when the chart is; that is also the check that
     the base points differ (IdenticalPointsError).  A point of the axis has
-    coordinate t when it is O + t*(I - O), with t on the LEFT.
+    coordinate t when it is O + t*(I - O), with t on the LEFT; I - O is the
+    axis's direction (u, v).
     """
 
     __slots__ = ("o", "i", "axis")
@@ -222,29 +278,29 @@ class Chart:
 
     def point_at(self, t: Element) -> PlanePoint:
         """The axis point with coordinate t."""
-        o, i = self.o, self.i
+        o, axis = self.o, self.axis
         f = o.x.field
         if t.__class__ is not Element or t.field is not f:
             _check_elements((o.x, t))  # the TypeError or FieldMismatchError of Element's operators
-        t, ox, oy = t.value, o.x.value, o.y.value
+        t = t.value
         return PlanePoint(
-            Element(f, f._add(ox, f._mul(t, f._sub(i.x.value, ox)))),
-            Element(f, f._add(oy, f._mul(t, f._sub(i.y.value, oy)))),
+            Element(f, f._add(o.x.value, f._mul(t, axis.u))),
+            Element(f, f._add(o.y.value, f._mul(t, axis.v))),
         )
 
     def coordinate(self, p: PlanePoint) -> Element:
         """The coordinate of an axis point p."""
-        o, i = self.o, self.i
-        if not self.axis.contains(p):  # also the field check
-            raise NotOnLineError(f"{p} is not on the axis through {o} and {i}")
+        o, axis = self.o, self.axis
+        if not axis.contains(p):  # also the field check
+            raise NotOnLineError(f"{p} is not on the axis through {o} and {self.i}")
         f = o.x.field
-        if self.axis.is_vertical:
-            along, base, unit = p.y.value, o.y.value, i.y.value
+        if axis.is_vertical:
+            along, base, unit = p.y.value, o.y.value, axis.v
         else:
-            along, base, unit = p.x.value, o.x.value, i.x.value
-        # unit - base is nonzero: O != I, and the axis is vertical exactly
-        # when their x agree, so they differ in the coordinate read here
-        return Element(f, f._rdiv(f._sub(along, base), f._sub(unit, base)))
+            along, base, unit = p.x.value, o.x.value, axis.u
+        # unit is nonzero: O != I, and the axis is vertical exactly when
+        # their x agree, so they differ in the coordinate read here
+        return Element(f, f._rdiv(f._sub(along, base), unit))
 
 
 class Construction:

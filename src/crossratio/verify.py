@@ -3,10 +3,16 @@
 Every check evaluates algebraic identities with exact arithmetic on inputs
 drawn from a deterministic per-sample stream (seeded by "seed:check:index"),
 so a report is reproducible from (field, seed, samples) alone.  Draws that
-violate a check's preconditions are redrawn and counted, never evaluated.
-A failing sample is recorded as a witness carrying the formatted inputs and
-both sides of the identity; witness lists are capped, full failure counts
-are not.  Most checks are universally quantified equalities; the
+violate a check's preconditions are redrawn and counted, never evaluated;
+a draw that raises fields.PreconditionError is one of them, since a draw
+is where a candidate is tested against the preconditions.  A failing sample
+is recorded as a witness carrying the formatted inputs and both sides of
+the identity; witness lists are capped, full failure counts are not.  An
+evaluator that raises fields.PreconditionError (the base of every library
+error the CLI maps to exit 3 or 4) on a valid input fails that sample too:
+its witness has the exception's class and message as one side, so a wrong
+library is reported as a failing check, not as the user's broken
+precondition.  Other exceptions, programming errors among them, propagate.  Most checks are universally quantified equalities; the
 noncommutativity check is an existence search whose pass criterion is that
 a witness IS found.  On small prime fields, checks with a registered
 enumerator run exhaustively over all valid tuples instead of sampling.
@@ -31,6 +37,7 @@ from .fields import (
     Element,
     Field,
     GaloisField,
+    PreconditionError,
     QuaternionField,
     commutes,
 )
@@ -50,7 +57,6 @@ from .plane import (
 )
 from .ratio import (
     ExtendedPoint,
-    InfiniteSolutionError,
     cross_ratio,
     cross_ratio_alt,
     ratio2,
@@ -130,6 +136,20 @@ def _law(names, values, lhs, rhs, law: str | None = None) -> list[dict]:
     return []
 
 
+def _format_input(value) -> str:
+    """One input of a check as text: a chart as its base points, a tuple item by item."""
+    if isinstance(value, Chart):
+        return f"chart(O={value.o}, I={value.i})"
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_format_input, value))})"
+    return str(value)
+
+
+def _raised(inputs, exc: PreconditionError) -> dict:
+    """The witness of an evaluator that raised on a valid input."""
+    return _witness(list(map(_format_input, inputs)), f"{type(exc).__name__}: {exc}", "no error")
+
+
 def _sample_rng(seed: int, name: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{name}:{index}")
 
@@ -162,7 +182,10 @@ def _draw_valid(check: CheckDef, field: Field, seed: int, index: int):
     rng = _sample_rng(seed, check.name, index)
     tries = 0
     while True:
-        inputs = check.draw(field, rng)
+        try:
+            inputs = check.draw(field, rng)
+        except PreconditionError:
+            inputs = None
         if inputs is not None:
             return inputs, tries
         tries += 1
@@ -200,7 +223,10 @@ def run_check(name: str, field: Field, samples: int, seed: int) -> dict:
     of modulus at most EXHAUSTIVE_MAX_MODULUS; any other run draws
     `samples` samples.  An equality check counts every failing sample and
     keeps up to WITNESS_CAP witnesses; a witness-search check stops at its
-    first witness and passes only if it found one.
+    first witness and passes only if it found one.  A sample whose evaluator
+    raises PreconditionError fails in both kinds; the record then also holds
+    `raised`, the number of such samples, since the witness cap can hide
+    their witnesses.
     """
     if name not in CHECKS:
         raise UnknownCheckError(f"unknown check: {name!r}")
@@ -217,21 +243,30 @@ def run_check(name: str, field: Field, samples: int, seed: int) -> dict:
         record = _record(check, "sampled")
         tuples = map(functools.partial(_draw_valid, check, field, seed), range(samples))
     search = check.kind == "witness-search"
+    raised = 0
     for inputs, redraws in tuples:
         record["redraws"] += redraws
         record["samples_run"] += 1
-        found = check.evaluate(field, inputs)
+        try:
+            found = check.evaluate(field, inputs)
+        except PreconditionError as exc:
+            raised += 1
+            record["failures"] += 1
+            record["witnesses"] += [_raised(inputs, exc)][: WITNESS_CAP - len(record["witnesses"])]
+            continue
         if not search:
             record["failures"] += len(found)
             record["witnesses"] += found[: WITNESS_CAP - len(record["witnesses"])]
         elif found:
-            record["witnesses"] = found[:1]
+            record["witnesses"] += found[:1]
             break
     if record["samples_run"] == 0:
         raise NoValidInputError(
             f"{check.name}: no input tuple over {field} meets its preconditions"
         )
-    record["passed"] = bool(record["witnesses"]) if search else record["failures"] == 0
+    record["passed"] = record["failures"] == 0 and (bool(record["witnesses"]) or not search)
+    if raised:
+        record["raised"] = raised
     return record
 
 
@@ -657,10 +692,7 @@ def _draw_solve_roundtrip(field, rng):
     r = field.random_element(rng)
     if r.is_zero or r == field.one:
         return None
-    try:
-        solve_fourth_point(r, *triple)
-    except InfiniteSolutionError:
-        return None
+    solve_fourth_point(r, *triple)  # InfiniteSolutionError: a rejected draw
     return (r, *triple)
 
 
@@ -827,17 +859,16 @@ def _draw_aux_family(field, rng):
 def _eval_aux_independence(field, inputs):
     chart, a, b, auxes = inputs
     pa, pb = chart.point_at(a), chart.point_at(b)
-    tags = [f"O={chart.o}", f"I={chart.i}", f"a={a}", f"b={b}"]
-    fails = []
     sums, products = set(), set()
     for aux in auxes:
         built_sum, built_product = construct_sum_and_product(chart, pa, pb, aux)
         sums.add(built_sum.result)
         products.add(built_product.result)
-    if len(sums) != 1:
-        fails.append(_witness(tags, f"{len(sums)} distinct sums", "1"))
-    if len(products) != 1:
-        fails.append(_witness(tags, f"{len(products)} distinct products", "1"))
+    fails = []
+    for results, kind in ((sums, "sums"), (products, "products")):
+        if len(results) != 1:
+            tags = _labeled(("O", "I", "a", "b"), (chart.o, chart.i, a, b))
+            fails.append(_witness(tags, f"{len(results)} distinct {kind}", "1"))
     return fails
 
 

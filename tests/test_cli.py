@@ -22,7 +22,7 @@ import pytest
 import crossratio
 from crossratio import cli
 from crossratio.cli import build_parser, main
-from crossratio.fields import DivisionByZeroError, FieldMismatchError, PreconditionError
+from crossratio.fields import DivisionByZeroError, FieldMismatchError, PreconditionError, field_by_name
 from crossratio.plane import (
     AuxiliaryPointError,
     DegenerateConfigurationError,
@@ -228,6 +228,24 @@ def test_failing_verify_text_is_pinned(capsys, broken_ratios):
     assert sha256(out) == "eed1b5cbefd989aed4f7c1dd61c613d670854a2c08a7d95c4d355bfa97b9646a"
 
 
+@pytest.mark.parametrize(
+    "field, seed, raised",
+    [
+        ("gf:5", "7", {"ratio2_laws", "ratio3_laws", "cr_permutation_trio"}),
+        ("gf:101", "2", {"ratio2_laws", "ratio3_laws"}),
+    ],
+)
+def test_verify_reports_a_raising_law_as_a_failing_check(capsys, broken_ratios, field, seed, raised):
+    # the mutant sends some divisors to zero over GF(p); those laws fail with exit 1, not exit 3
+    code, out, err = run_cli(
+        capsys, "verify", "--field", field, "--seed", seed, "--samples", "25", "--format", "json"
+    )
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    assert {check["name"] for check in checks if "raised" in check} == raised
+    assert all(not check["passed"] for check in checks if check["name"] in raised)
+
+
 def test_verify_json_report_schema(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -381,6 +399,29 @@ SLANTED = (
 QUATERNION_UNITS = ("--field", "quaternion", "--O", "0,0", "--I", "1,0", "--A", "i,0", "--B", "j,0")
 
 
+def bignum_quaternion_chart():
+    """A slanted quaternion chart, its operands and aux, with 256-bit coefficients.
+
+    The coefficients come from a fixed seed; A and B are O + t*(I - O) for
+    two drawn t, computed with Element operators.
+    """
+    rng = random.Random(20261020)
+    field = field_by_name("quaternion")
+
+    def element():
+        return field.element(
+            tuple(Fraction(rng.getrandbits(257) - 2**256, rng.getrandbits(256) | 1) for _ in range(4))
+        )
+
+    o, i, aux = ((element(), element()) for _ in range(3))
+    a, b = ((o[0] + t * (i[0] - o[0]), o[1] + t * (i[1] - o[1])) for t in (element(), element()))
+    points = {"O": o, "I": i, "A": a, "B": b, "aux": aux}
+    return ("--field", "quaternion", *(f"--{name}={x},{y}" for name, (x, y) in points.items()))
+
+
+BIGNUM_QUATERNION = bignum_quaternion_chart()
+
+
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -426,6 +467,8 @@ def test_construct_text_is_pinned(capsys, op, expected):
         ("mul", SLANTED, "0b4c744a6a27fb4d8393de330303652b927e3ee8161625144a4469c06e6ca47d"),
         ("add", QUATERNION_UNITS, "26d260e25c36cf161904b3143cbf717b7c9443007c4928b602adfcb60d4ec68d"),
         ("mul", QUATERNION_UNITS, "05b325979aa785c1a0486a7cb849e9a04ab4868a89bfd63b05c2aec6fb741ed9"),
+        ("add", BIGNUM_QUATERNION, "1c1efe75eb11c39e7e00452eb5944e6c76d6fe19f67361690be02076aecb225e"),
+        ("mul", BIGNUM_QUATERNION, "f22f4095eecdf214f0d14cb129524705bfdcb37e01801bdc94acfe878b607c66"),
     ],
 )
 def test_construct_json_is_pinned(capsys, op, args, digest):

@@ -199,8 +199,9 @@ def test_chart_round_trip_on_vertical_axis():
 
 # ---------------------------------------------------------------- payloads vs Element formulas
 
-# The primitives compute on field payloads.  These are the same formulas
-# written with Element operators: the reference they must agree with.
+# The primitives compute on field payloads from each line's base point and
+# direction.  These are the slope-intercept formulas written with Element
+# operators: the reference they must agree with.
 
 
 def ref_line_through(p, q):
@@ -250,6 +251,11 @@ def ref_coordinate(o, i, p):
     return (p.x - o.x) * (i.x - o.x).inv()
 
 
+def assert_same_line(got, ref):
+    """got is ref's line: equal, with equal hash and the same printed equation."""
+    assert got == ref and hash(got) == hash(ref) and str(got) == str(ref)
+
+
 def outcome(fn, *args):
     """What a call returns, or the class and message of the error it raises."""
     try:
@@ -281,14 +287,24 @@ def test_primitives_match_the_element_formulas(name, data):
     lines = [ref_parallel_through(PlaneLine.vertical(p.x), p)]
     for a, b in ((p, q), (r, s), (p, r)):
         got = outcome(line_through, a, b)
-        assert got == outcome(ref_line_through, a, b)
+        ref = outcome(ref_line_through, a, b)
+        assert got == ref
         if isinstance(got, PlaneLine):
+            assert_same_line(got, ref)
+            # the same line reached by other routes, each from fresh objects
+            by_equation = (
+                PlaneLine.vertical(got.intercept)
+                if got.is_vertical
+                else PlaneLine.sloped(got.slope, got.intercept)
+            )
+            for twin in (line_through(b, a), parallel_through(parallel_through(got, s), b), by_equation):
+                assert_same_line(twin, got)
             lines.append(got)
     for line in list(lines):
         for a in (p, q, r, s):
             assert line.contains(a) == ref_contains(line, a)
         shifted = parallel_through(line, s)
-        assert shifted == ref_parallel_through(line, s)
+        assert_same_line(shifted, ref_parallel_through(line, s))
         lines.append(shifted)
     # every ordered pair, a line with itself included: a point, None for
     # parallels, IdenticalLinesError for one line twice

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, swapped_inverse_form_matches
 from crossratio import verify
-from crossratio.fields import GaloisField, field_by_name
+from crossratio.fields import DivisionByZeroError, GaloisField, field_by_name
+from crossratio.plane import Chart, point
 from crossratio.verify import (
     CHECKS,
     CheckDef,
@@ -173,6 +174,36 @@ def test_failing_check_reports_capped_witnesses():
         del CHECKS[name]
 
 
+@pytest.mark.parametrize("kind", ["equality", "witness-search"])
+def test_a_raising_evaluator_fails_its_sample(monkeypatch, kind):
+    # every other draw raises and is redrawn; every evaluation raises and
+    # fails its sample, with the formatted inputs and the error in its witness
+    draws = []
+
+    def draw(field, rng):
+        draws.append(None)
+        if len(draws) % 2:
+            raise DivisionByZeroError("the draw divided by zero")
+        return (Chart(point(field, 0, 0), point(field, 1, 2)), field.one, (field.zero, field.one))
+
+    def evaluate(field, inputs):
+        raise DivisionByZeroError("cannot invert zero in rational")
+
+    name = "raising_probe"
+    monkeypatch.setitem(CHECKS, name, CheckDef(name, "probe", kind=kind, draw=draw, evaluate=evaluate))
+    rec = run_check(name, RATIONAL, 3, 0)
+    assert set(rec) == RECORD_KEYS | {"raised"}
+    assert rec["passed"] is False
+    assert (rec["samples_run"], rec["redraws"], rec["failures"], rec["raised"]) == (3, 3, 3, 3)
+    assert rec["witnesses"] == 3 * [
+        {
+            "inputs": ["chart(O=0,0, I=1,2)", "1", "(0, 1)"],
+            "lhs": "DivisionByZeroError: cannot invert zero in rational",
+            "rhs": "no error",
+        }
+    ]
+
+
 # ---------------------------------------------------------------- run_suite
 
 
@@ -292,6 +323,8 @@ PASSING_DIGESTS = {
 FAILING_DIGESTS = {
     ("rational", 7, 12): "d87dd11b3c1cb4b66555e458dedbc2026bfb2661ca74a98f1615cead03e46555",
     ("quaternion", 7, 4): "ccabfd0b748fce539d94f77af3e303994b548d98a58eadbffe22b34ac5b36549",
+    # ratio2_laws, ratio3_laws and cr_permutation_trio raise DivisionByZeroError here
+    ("gf:5", 7, 25): "bd12d53d7469cde2a0f9f8c87c08738227ce2862b181c63901da876011cf2c5b",
 }
 
 
