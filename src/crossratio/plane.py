@@ -142,17 +142,13 @@ class PlaneLine:
     def vertical(cls, c: Element) -> "PlaneLine":
         """The line x = c, drawn through (c, 0) along (0, 1)."""
         f = c.field
-        line = cls(None, PlanePoint(c, f.zero), f._coerce(0), f._coerce(1))
-        line._intercept = c
-        return line
+        return cls(None, PlanePoint(c, f.zero), f._coerce(0), f._coerce(1))
 
     @classmethod
     def sloped(cls, m: Element, b: Element) -> "PlaneLine":
         """The line y = x*m + b, drawn through (0, b) along (1, m)."""
         f = b.field
-        line = cls(m, PlanePoint(f.zero, b), f._coerce(1), m.value)
-        line._intercept = b
-        return line
+        return cls(m, PlanePoint(f.zero, b), f._coerce(1), m.value)
 
     @property
     def is_vertical(self) -> bool:
@@ -207,12 +203,12 @@ def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
     if q.x.field is not f and q.x.field != f:
         raise FieldMismatchError(f"no line through points over {f} and {q.x.field}")
     px, py, qx, qy = p.x.value, p.y.value, q.x.value, q.y.value
-    if px == qx:
-        if py == qy:
-            raise IdenticalPointsError("no unique line through a repeated point")
-        return PlaneLine(None, p, f._sub(qx, px), f._sub(qy, py))
-    # u = q.x - p.x is nonzero: the branch above took every p.x == q.x
+    if px == qx and py == qy:
+        raise IdenticalPointsError("no unique line through a repeated point")
     u, v = f._sub(qx, px), f._sub(qy, py)
+    if px == qx:
+        return PlaneLine(None, p, u, v)
+    # u is nonzero: the branch above took every p.x == q.x
     return PlaneLine(Element(f, f._ldiv(u, v)), p, u, v)
 
 

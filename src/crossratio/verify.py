@@ -12,7 +12,8 @@ evaluator that raises fields.PreconditionError (the base of every library
 error the CLI maps to exit 3 or 4) on a valid input fails that sample too:
 its witness has the exception's class and message as one side, so a wrong
 library is reported as a failing check, not as the user's broken
-precondition.  Other exceptions, programming errors among them, propagate.  Most checks are universally quantified equalities; the
+precondition.  Other exceptions, programming errors among them, propagate.
+Most checks are universally quantified equalities; the
 noncommutativity check is an existence search whose pass criterion is that
 a witness IS found.  On small prime fields, checks with a registered
 enumerator run exhaustively over all valid tuples instead of sampling.
