@@ -17,6 +17,11 @@ input (gf:2 and gf:3), and a `desargues --count` below 1.
 `main(argv)` may be called repeatedly in one process: it parses with one
 parser, built on its first call and reused after, since argparse leaves a
 parser unchanged while parsing.  `build_parser()` returns a fresh parser.
+An argv that starts with a subcommand name goes straight to that
+subcommand's parser, where the top-level parser would send it, so it is
+scanned once.  Any other argv, or one that leaves arguments unrecognized,
+is parsed by the whole parser, so help, usage lines, error messages and
+exit codes are argparse's own.
 
 Importing this module and calling build_parser() load only fields and svg
 from the package, and neither json nor fractions.  Each subcommand imports
@@ -298,11 +303,39 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _subcommands() -> dict:
+    """Each subcommand's name mapped to its parser: the choices of the cached
+    parser's add_subparsers action."""
+    return next(action.choices for action in _parser()._actions if action.dest == "command")
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What _parser().parse_args(argv) returns, in one argparse pass where it can.
+
+    The top-level parser hands everything after a leading subcommand name
+    to that subcommand's parser, so such an argv goes straight there.  Any
+    other argv (empty, help, a leading '--', an unknown name) or one that
+    leaves unrecognized arguments is parsed by the whole parser, whose
+    usage, messages and exit codes it then gets.
+    """
+    sub = _subcommands().get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact results may run past the default 4300 digits
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        if [] in vars(args).values():
+            # argparse before 3.12 fills the positional that meets a second '--' with []
+            raise ValueError("a second '--' is not a literal")
         return args.handler(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

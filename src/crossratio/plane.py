@@ -38,6 +38,7 @@ called only on a divisor the branch has proven nonzero.  They wrap only the
 values they return in Elements.  So each one checks its arguments' fields
 itself, before it looks at the line's kind: a call that mixes unequal fields
 raises FieldMismatchError, on a vertical line as on a sloped one.
+PlaneLine.sloped(m, b) raises it too when m and b come from unequal fields.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ class PlaneLine:
     def sloped(cls, m: Element, b: Element) -> "PlaneLine":
         """The line y = x*m + b, drawn through (0, b) along (1, m)."""
         f = b.field
+        if m.field is not f and m.field != f:
+            raise FieldMismatchError(f"no line with a slope over {m.field} and an intercept over {f}")
         return cls(m, PlanePoint(f.zero, b), f._coerce(1), m.value)
 
     @property

@@ -15,9 +15,10 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossratio
 from crossratio import cli
@@ -708,7 +709,7 @@ def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code):
         raise error("boom")
 
     parsed = argparse.Namespace(handler=handler)
-    monkeypatch.setattr(cli, "_parser", lambda: SimpleNamespace(parse_args=lambda argv: parsed))
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: parsed)
     assert main(["eval"]) == code
     assert capsys.readouterr() == ("", "error: boom\n")
 
@@ -740,7 +741,7 @@ def test_exit_code_is_a_class_attribute(monkeypatch, capsys):
         raise LateInfiniteSolutionError("boom")
 
     parsed = argparse.Namespace(handler=handler)
-    monkeypatch.setattr(cli, "_parser", lambda: SimpleNamespace(parse_args=lambda argv: parsed))
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: parsed)
     assert main(["eval"]) == 4
     assert capsys.readouterr() == ("", "error: boom\n")
 
@@ -788,6 +789,189 @@ def test_help_is_the_parser_help(capsys):
 
 def test_build_parser_returns_a_fresh_parser():
     assert build_parser() is not build_parser()
+
+
+# ---------------------------------------------------------------- one parse per request
+# main() hands an argv that starts with a subcommand name straight to that
+# subcommand's parser and every other argv to the whole parser; either way it
+# must parse, print and exit exactly as the whole parser does.
+
+PARSE_CORPUS = [
+    # shaped like the benchmark's requests
+    ["eval", "--field", "rational", "--format", "json", "--", "-3/4", "5/6", "inf", "-7/8"],
+    ["eval", "--field", "quaternion", "--format", "text", "--", "-1/2+3i", "j", "-k", "1+i"],
+    ["solve", "--field", "rational", "--format", "text", "--", "-1/2", "3", "-4/6", "5"],
+    ["solve", "--field", "quaternion", "--format", "json", "--", "1+i", "-j", "k", "1+j"],
+    [
+        "construct", "mul", "--field", "quaternion", "--format", "json",
+        "--O=1+i,1", "--I=3,2+j", "--A=1+i-j+2k,1-i+k", "--B=5-i,3+2j", "--aux=-1/2,1",
+    ],
+    ["construct", "add", "--O", "0,0", "--I", "1,0", "--A", "2,0", "--B", "3,0", "--svg", "sum.svg"],
+    ["desargues", "--field", "gf:5", "--count", "3", "--seed", "4", "--flip-C'"],
+    ["desargues", "--field", "rational", "--count", "2", "--mode", "concurrent", "--format", "json"],
+    ["verify", "--field", "gf:5", "--seed", "12", "--samples", "3", "--format", "json"],
+    ["verify", "--field", "quaternion", "--seed", "4294967295", "--samples", "3"],
+    # edge cases
+    [],
+    ["-h"],
+    ["--help"],
+    ["--help", "eval"],
+    ["frobnicate"],
+    ["EVAL", "2", "3", "1", "0"],
+    ["--", "eval", "2", "3", "1", "0"],
+    ["eval"],
+    ["eval", "-h"],
+    ["verify", "--help"],
+    ["eval", "1", "2", "3", "4", "5"],
+    ["eval", "2", "3", "1", "0", "extra"],
+    ["eval", "-1", "2", "3", "4"],
+    ["eval", "--", "--", "1", "2", "3"],
+    ["eval", "--fie", "gf:5", "1", "2", "3", "4"],
+    ["eval", "--f", "gf:5", "1", "2", "3", "4"],
+    ["eval", "--format", "xml", "1", "2", "3", "4"],
+    ["eval", "--seed", "1", "2", "3", "1", "0"],
+    ["verify", "--samples", "x"],
+    ["verify", "--field"],
+    ["construct", "sub", "--O", "0,0", "--I", "1,0", "--A", "2,0", "--B", "3,0"],
+    ["construct", "add", "--O", "0,0"],
+    ["desargues", "--flip", "--count", "1"],
+    ["desargues", "--mode", "skew"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        outcome = ("parsed", parse(list(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_one_pass_parse_matches_the_whole_parser(capsys, argv):
+    got = _parse_outcome(cli._parse_args, argv, capsys)
+    assert got == _parse_outcome(build_parser().parse_args, argv, capsys)
+
+
+def test_a_subcommand_request_skips_the_top_level_parser(monkeypatch, capsys):
+    def whole_parse(argv):
+        raise AssertionError(f"top-level parse of {argv}")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", whole_parse)
+    assert main(["eval", "--field", "rational", "--", "-2", "3", "1", "0"]) == 0
+    assert main(["verify", "--field", "gf:5", "--samples", "1", "--format", "json"]) == 0
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="top-level parse"):
+        main(["eval", "2", "3", "1", "0", "extra"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--", "inf", "inf", "--", "0"], ["solve", "--", "1", "2", "3", "--"]]
+)
+def test_a_second_double_dash_exits_2(capsys, argv):
+    # argparse before 3.12 gives the positional that meets it [], later ones the text '--'
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2 and capsys.readouterr().out == ""
+
+
+def test_main_reads_sys_argv_when_argv_is_none(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["crossratio", "eval", "--field", "rational", "2", "3", "1", "0"])
+    assert main() == 0
+    assert capsys.readouterr() == ("3/4\n", "")
+    monkeypatch.setattr(sys, "argv", ["crossratio", "eval", "2", "3", "1", "0", "extra"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("crossratio: error: unrecognized arguments: extra\n")
+
+
+# ---------------------------------------------------------------- fuzzed argv
+# Each choice is usually a usable value and one time in four an odd one: a
+# zero or non-prime modulus, an upper-case selector, non-ASCII digits, a zero
+# denominator, a dangling sign, empty text.
+FUZZ_FIELDS = (("rational", "quaternion", "gf:5", "gf:7"), ("gf:0", "gf:4", "GF:5", "gf:٥", "gf:", ""))
+FUZZ_LITERALS = (
+    ("0", "1", "2", "-2", "3/4", "-7/8", "inf"),
+    ("1/0", "0/0", "i+", "+", "-", "٣", "1/٤", "²", "1e3", "nan", "", " "),
+)
+QUATERNION_LITERALS = ("i", "-j", "1+k", "1/2-i+3k")
+
+
+def _pick(draw, choices):
+    usual, odd = choices
+    return draw(st.sampled_from(odd if draw(st.integers(0, 3)) == 3 else usual))
+
+
+def _fuzz_options(draw, fields, out_dir):
+    options = ["--field", _pick(draw, fields)]
+    if draw(st.booleans()):
+        options += ["--format", _pick(draw, (("text", "json"), ("xml",)))]
+    if draw(st.booleans()):
+        options += ["--out", str(out_dir / "out.txt")]
+    return options
+
+
+@st.composite
+def fuzz_argv(draw, out_dir):
+    command = draw(st.sampled_from(("eval", "solve", "construct", "desargues", "verify")))
+    if command in ("eval", "solve"):
+        argv = [command, *_fuzz_options(draw, FUZZ_FIELDS, out_dir)]
+        argv += [] if draw(st.integers(0, 3)) == 3 else ["--"]
+        usual = FUZZ_LITERALS[0] + (QUATERNION_LITERALS if argv[2] == "quaternion" else ())
+        literals = [draw(st.sampled_from(usual)) for _ in range(_pick(draw, ((4,), (3, 5))))]
+        if draw(st.booleans()):  # at most one odd literal, so the usual ones reach the arithmetic
+            literals[draw(st.integers(0, len(literals) - 1))] = draw(st.sampled_from(FUZZ_LITERALS[1]))
+        argv += literals
+    elif command == "construct":
+        argv = [command, _pick(draw, (("add", "mul"), ("sub", "")))]
+        argv += _fuzz_options(draw, FUZZ_FIELDS, out_dir)
+        names = ["O", "I", "A", "B"] + (["aux"] if draw(st.booleans()) else [])
+        for name in names:
+            # mostly on the x axis, where O, I, A and B make a valid construction
+            y = _pick(draw, (("0",), FUZZ_LITERALS[0] + FUZZ_LITERALS[1]))
+            argv.append(f"--{name}={_pick(draw, FUZZ_LITERALS)},{y}")
+        if draw(st.booleans()):
+            argv += ["--svg", str(out_dir / "figure.svg")]
+    elif command == "desargues":
+        argv = [command, *_fuzz_options(draw, FUZZ_FIELDS, out_dir)]
+        argv += ["--count", _pick(draw, (("1", "2"), ("-1", "0", "x", "")))]
+        argv += ["--seed", str(draw(st.integers(0, 2**32)))]
+        argv += ["--mode", _pick(draw, (("parallel", "concurrent"), ("skew",)))]
+        argv += ["--flip-C'"] if draw(st.booleans()) else []
+    else:
+        fields = (("gf:5",), ("gf:0", "GF:5", "gf:3", "gf:4"))
+        argv = [command, *_fuzz_options(draw, fields, out_dir)]
+        argv += ["--samples", _pick(draw, (("1", "2"), ("-1", "0", "x")))]
+        argv += ["--seed", str(draw(st.integers(0, 2**32)))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("-h", "extra", "--", ""))))
+    return argv
+
+
+def test_fuzzed_argv_ends_in_an_exit_code(tmp_path, capsys):
+    def cwd_listing():  # hypothesis keeps its example database here
+        return {path.name for path in pathlib.Path.cwd().iterdir()} - {".hypothesis"}
+
+    before = cwd_listing()
+
+    @settings(max_examples=150)
+    @given(fuzz_argv(tmp_path))
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), argv
+        else:
+            assert code in range(6), argv
+        capsys.readouterr()
+
+    run()
+    assert cwd_listing() == before
+    assert {path.name for path in tmp_path.iterdir()} <= {"figure.svg", "out.txt"}
 
 
 # ---------------------------------------------------------------- cold start

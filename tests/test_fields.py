@@ -276,6 +276,8 @@ def test_different_fields_do_not_mix(f, g):
     q = PlanePoint(y, g.one)
     with pytest.raises(FieldMismatchError):
         line_through(PlanePoint(x, f.one), q)
+    with pytest.raises(FieldMismatchError):  # PlaneLine.sloped
+        PlaneLine.sloped(x, y)
     vertical, sloped = PlaneLine.vertical(x), PlaneLine.sloped(f.one, x)
     for line in (vertical, sloped):
         with pytest.raises(FieldMismatchError):

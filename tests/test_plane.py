@@ -77,6 +77,18 @@ def test_line_through_examples():
         line_through(rp(1, 1), rp(1, 1))
 
 
+def test_sloped_line_needs_one_field():
+    # a GF(7) slope with a GF(11) intercept was once built, and held (2, 2) over GF(11)
+    gf7, gf11 = GaloisField(7), GaloisField(11)
+    with pytest.raises(
+        FieldMismatchError, match=r"^no line with a slope over gf:7 and an intercept over gf:11$"
+    ):
+        PlaneLine.sloped(gf7.element(5), gf11.element(3))
+    # equal fields that are distinct instances still make a line
+    line = PlaneLine.sloped(gf7.element(5), GaloisField(7).element(3))
+    assert line.contains(point(gf7, 1, 1)) and not line.contains(point(gf7, 2, 2))
+
+
 @given(field_and_elements(4))
 def test_line_through_contains_both_endpoints(fx):
     fld, (x1, y1, x2, y2) = fx
