@@ -179,20 +179,13 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _tamper(cfg):
-    from .plane import DesarguesConfig, PlanePoint
-
-    one = cfg.c_prime.field.one
-    moved = PlanePoint(cfg.c_prime.x + one, cfg.c_prime.y + one)
-    return DesarguesConfig(cfg.a, cfg.b, cfg.c, cfg.a_prime, cfg.b_prime, moved, cfg.center)
-
-
 def _cmd_desargues(args) -> int:
     import hashlib
 
     from .plane import (
         GenerationFailureError,
         HypothesisViolationError,
+        PlanePoint,
         check_desargues,
         generate_desargues_config,
     )
@@ -211,7 +204,9 @@ def _cmd_desargues(args) -> int:
             failures.append(f"config {index}: {exc}")
             continue
         if args.flip_c_prime:
-            cfg = _tamper(cfg)
+            moved = cfg.c_prime
+            one = moved.field.one
+            cfg = cfg._replace(c_prime=PlanePoint(moved.x + one, moved.y + one))
         canonicals.append(cfg.canonical())
         try:
             # the generator's verdict is for the configuration it drew, not the tampered one

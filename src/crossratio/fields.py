@@ -532,16 +532,12 @@ class QuaternionField(Field):
         product = _hamilton(a1, b1, c1, d1, a2, -b2, -c2, -d2)
         return _divided(n2, a2 * a2 + b2 * b2 + c2 * c2 + d2 * d2, n1, product)
 
-    @staticmethod
-    def _norm(q):
-        from fractions import Fraction
-
-        a, b, c, d, n = q
-        return Fraction(a * a + b * b + c * c + d * d, n * n)
-
     def norm(self, x: Element) -> Fraction:
         """Quaternion norm, the sum of the squared coefficients, as an exact Fraction."""
-        return self._norm(x.value)
+        from fractions import Fraction
+
+        a, b, c, d, n = x.value
+        return Fraction(a * a + b * b + c * c + d * d, n * n)
 
     def _random(self, rng):
         # Four RationalField draws, numerator then denominator each, put

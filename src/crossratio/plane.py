@@ -44,6 +44,7 @@ PlaneLine.sloped(m, b) raises it too when m and b come from unequal fields.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 from .fields import (
     DivisionByZeroError, Element, Field, FieldMismatchError, PreconditionError, _check_elements
@@ -302,36 +303,10 @@ class Chart:
         return Element(f, f._rdiv(f._sub(along, base), unit))
 
 
-class Construction:
-    """A ruler construction trace: labeled points, labeled lines, result."""
+class Construction(namedtuple("Construction", "kind points lines result")):
+    """A ruler construction trace: kind, labeled points, labeled lines, result."""
 
-    __slots__ = ("kind", "points", "lines", "result")
-
-    def __init__(
-        self,
-        kind: str,
-        points: dict[str, PlanePoint],
-        lines: list[tuple[str, PlaneLine]],
-        result: PlanePoint,
-    ):
-        self.kind = kind
-        self.points = points
-        self.lines = lines
-        self.result = result
-
-    def __eq__(self, other):
-        if other.__class__ is not Construction:
-            return NotImplemented
-        return (self.kind, self.points, self.lines, self.result) == (
-            other.kind, other.points, other.lines, other.result
-        )
-
-
-def _meet(l1: PlaneLine, l2: PlaneLine, stage: str) -> PlanePoint:
-    got = intersect(l1, l2)
-    if got is None:
-        raise DegenerateConfigurationError(f"parallel lines where {stage} needs a point")
-    return got
+    __slots__ = ()
 
 
 def _ruler(chart: Chart, a, b, aux, kinds: tuple[str, ...]) -> tuple[Construction, ...]:
@@ -355,16 +330,16 @@ def _ruler(chart: Chart, a, b, aux, kinds: tuple[str, ...]) -> tuple[Constructio
     built = []
     for kind in kinds:
         if kind == "add":
-            result_name = "sum"
             guide, target = o_aux, ("axis parallel through B1", parallel_through(axis, aux))
         else:
-            result_name = "product"
             guide, target = ("I-B1", line_through(chart.i, aux)), o_aux
         guide_label, guide_line = guide
         through_a = parallel_through(guide_line, a)
-        p1 = _meet(through_a, target[1], "locating P1")
+        # neither intersect returns None: aux is off the axis, so O-aux, I-aux
+        # and B-aux each cross it, and O-aux != I-aux
+        p1 = intersect(through_a, target[1])
         through_p1 = parallel_through(transfer, p1)
-        c = _meet(through_p1, axis, f"locating the {result_name}")
+        c = intersect(through_p1, axis)
         built.append(
             Construction(
                 kind=kind,
@@ -414,42 +389,25 @@ def construct_sum_and_product(chart: Chart, a, b, aux) -> tuple[Construction, Co
 
 
 def default_aux(chart: Chart) -> PlanePoint:
-    """A deterministic auxiliary point off the chart's axis."""
+    """A deterministic auxiliary point off the chart's axis: O + (0, 1), or O + (1, 0)."""
     o = chart.o
     field = o.field
-    for dx, dy in ((field.zero, field.one), (field.one, field.zero)):
-        candidate = _shift(o, dx, dy)
-        if not chart.axis.contains(candidate):
-            return candidate
-    raise DegenerateConfigurationError("no off-axis point found")  # unreachable
+    # O + (0, 1) is on the axis exactly when the axis is vertical
+    if chart.axis.is_vertical:
+        return _shift(o, field.one, field.zero)
+    return _shift(o, field.zero, field.one)
 
 
-class DesarguesConfig:
+class DesarguesConfig(
+    namedtuple("DesarguesConfig", "a b c a_prime b_prime c_prime center", defaults=(None,))
+):
     """Two triangles in parallel or central perspective.
 
     center is None for the parallel (translation-like) form and the common
     point of the three vertex-joining lines for the central form.
     """
 
-    __slots__ = ("a", "b", "c", "a_prime", "b_prime", "c_prime", "center")
-
-    def __init__(
-        self,
-        a: PlanePoint,
-        b: PlanePoint,
-        c: PlanePoint,
-        a_prime: PlanePoint,
-        b_prime: PlanePoint,
-        c_prime: PlanePoint,
-        center: PlanePoint | None = None,
-    ):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.a_prime = a_prime
-        self.b_prime = b_prime
-        self.c_prime = c_prime
-        self.center = center
+    __slots__ = ()
 
     def canonical(self) -> str:
         parts = [
@@ -471,8 +429,7 @@ def check_desargues(cfg: DesarguesConfig) -> bool:
     def fail(clause: str):
         raise HypothesisViolationError(f"hypothesis violated: {clause}")
 
-    a, b, c = cfg.a, cfg.b, cfg.c
-    a2, b2, c2 = cfg.a_prime, cfg.b_prime, cfg.c_prime
+    a, b, c, a2, b2, c2, center = cfg
     if len({a, b, c}) != 3:
         fail("vertices A, B, C must be pairwise distinct")
     if len({a2, b2, c2}) != 3:
@@ -486,24 +443,20 @@ def check_desargues(cfg: DesarguesConfig) -> bool:
     if len(set(five)) != 5:
         fail("the lines AA', BB', CC', AC, A'C' must be pairwise distinct")
 
-    if cfg.center is None:
+    if center is None:
         if not (parallel(join_a, join_b) and parallel(join_b, join_c)):
             fail("the lines AA', BB', CC' must be mutually parallel")
     else:
         for join in (join_a, join_b, join_c):
-            if not join.contains(cfg.center):
+            if not join.contains(center):
                 fail("the lines AA', BB', CC' must pass through the center")
 
-    side_ab, side_ab2 = line_through(a, b), line_through(a2, b2)
-    if not parallel(side_ab, side_ab2):
+    # Parallel sides need no distinctness clause: AB = A'B' puts A, A', B and
+    # B' on one line, so AA' = BB' and the five-lines clause has failed; BC alike.
+    if not parallel(line_through(a, b), line_through(a2, b2)):
         fail("sides AB and A'B' must be parallel")
-    if side_ab == side_ab2:
-        fail("sides AB and A'B' must be distinct lines")
-    side_bc, side_bc2 = line_through(b, c), line_through(b2, c2)
-    if not parallel(side_bc, side_bc2):
+    if not parallel(line_through(b, c), line_through(b2, c2)):
         fail("sides BC and B'C' must be parallel")
-    if side_bc == side_bc2:
-        fail("sides BC and B'C' must be distinct lines")
     return parallel(side_ac, side_ac2)
 
 
@@ -559,15 +512,10 @@ def generate_desargues_config(
     for _ in range(GENERATION_RETRIES):
         try:
             cfg = _draw_config(field, rng, mode)
-        except (IdenticalPointsError, IdenticalLinesError, DivisionByZeroError):
-            continue
-        if cfg is None:
-            continue
-        try:
-            holds = check_desargues(cfg)
-        except HypothesisViolationError:
-            continue
-        return cfg, holds
+            if cfg is not None:
+                return cfg, check_desargues(cfg)
+        except (IdenticalPointsError, IdenticalLinesError, DivisionByZeroError, HypothesisViolationError):
+            pass
     raise GenerationFailureError(
         f"no valid {mode} configuration over {field} after {GENERATION_RETRIES} draws"
     )

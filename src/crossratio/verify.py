@@ -32,7 +32,7 @@ import datetime
 import functools
 import itertools
 import random
-from typing import Callable, Iterator
+from collections import namedtuple
 
 from .fields import (
     Element,
@@ -78,26 +78,15 @@ class NoValidInputError(ValueError):
     """The field offers a check no input tuple that meets its preconditions."""
 
 
-class CheckDef:
-    __slots__ = ("name", "description", "scope", "kind", "draw", "evaluate", "enumerate_inputs")
-
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        scope: str = "all",  # all | commutative | noncommutative | quaternion
-        kind: str = "equality",  # equality | witness-search
-        draw: Callable | None = None,  # (field, rng) -> inputs tuple, or None to redraw
-        evaluate: Callable | None = None,  # (field, inputs) -> list of witness dicts
-        enumerate_inputs: Callable[[Field], Iterator] | None = None,
-    ):
-        self.name = name
-        self.description = description
-        self.scope = scope
-        self.kind = kind
-        self.draw = draw
-        self.evaluate = evaluate
-        self.enumerate_inputs = enumerate_inputs
+# scope: all | commutative | noncommutative | quaternion; kind: equality |
+# witness-search; draw(field, rng) gives an inputs tuple, or None to redraw;
+# evaluate(field, inputs) gives a list of witness dicts; enumerate_inputs(field)
+# yields every valid inputs tuple of a small field.
+CheckDef = namedtuple(
+    "CheckDef",
+    "name description scope kind draw evaluate enumerate_inputs",
+    defaults=("all", "equality", None, None, None),
+)
 
 
 CHECKS: dict[str, CheckDef] = {}

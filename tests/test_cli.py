@@ -88,6 +88,11 @@ def test_eval_three_equal_is_a_precondition_failure(capsys):
     assert code == 3
 
 
+def test_eval_json_is_compact(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--field", "rational", "2", "3", "1", "0", "--format", "json")
+    assert code == 0 and out == '{"field": "rational", "result": "3/4"}\n'
+
+
 def test_eval_bad_literal(capsys):
     code, _, err = run_cli(capsys, "eval", "--field", "rational", "2", "x", "1", "0")
     assert code == 2
@@ -182,6 +187,11 @@ def test_solve_round_trips_through_eval(capsys):
     d = out.strip()
     code, out, _ = run_cli(capsys, "eval", "--field", "quaternion", "i", "j", "k", d)
     assert code == 0 and out.strip() == "2+i"
+
+
+def test_solve_json_is_compact(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--field", "rational", "3/4", "2", "3", "1", "--format", "json")
+    assert code == 0 and out == '{"field": "rational", "result": "0"}\n'
 
 
 def test_solve_rejects_zero_and_one(capsys):
@@ -364,6 +374,15 @@ def test_construct_default_aux(capsys):
         "--O", "0,0", "--I", "1,0", "--A", "i,0", "--B", "j,0",
     )
     assert code == 0 and out.strip().splitlines()[-1] == "i+j,0"
+
+
+def test_construct_point_literal_needs_two_coordinates(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "construct", "add", "--O", "1,2,3", "--I", "1,0", "--A", "2,0", "--B", "3,0",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: point literal must be 'x,y', got '1,2,3'\n"
 
 
 def test_construct_aux_on_axis(capsys):

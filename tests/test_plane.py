@@ -383,6 +383,17 @@ def test_default_aux_is_valid(field):
         assert not chart.axis.contains(default_aux(chart))
 
 
+def test_default_aux_is_o_plus_0_1_unless_the_axis_is_vertical(field):
+    one, two, three = field.one, field.element(2), field.element(3)
+    o = PlanePoint(one, two)
+    for i, shift in [
+        (PlanePoint(three, two), (field.zero, one)),  # horizontal axis
+        (PlanePoint(two, three + two), (field.zero, one)),  # slanted axis
+        (PlanePoint(one, three), (one, field.zero)),  # vertical axis
+    ]:
+        assert default_aux(Chart(o, i)) == PlanePoint(o.x + shift[0], o.y + shift[1])
+
+
 @given(field_and_elements(4))
 def test_construction_matches_field_arithmetic(fx):
     fld, (ta, tb, off, toff) = fx
@@ -518,6 +529,33 @@ def test_desargues_rejects_wrong_mode_data():
     )
     with pytest.raises(HypothesisViolationError):
         check_desargues(broken)
+
+
+def test_desargues_rejects_a_vertex_that_is_its_own_image():
+    broken = parallel_mode_example()._replace(a_prime=rp(0, 0))
+    with pytest.raises(HypothesisViolationError) as raised:
+        check_desargues(broken)
+    assert str(raised.value) == (
+        "hypothesis violated: corresponding vertices must be distinct (A!=A', B!=B', C!=C')"
+    )
+
+
+def test_desargues_rejects_sides_ab_that_are_not_parallel():
+    # B' slides along BB', so the joins stay parallel but A'B' turns
+    broken = parallel_mode_example()._replace(b_prime=rp(5, 2))
+    with pytest.raises(HypothesisViolationError) as raised:
+        check_desargues(broken)
+    assert str(raised.value) == "hypothesis violated: sides AB and A'B' must be parallel"
+
+
+def test_desargues_collinear_a_b_a2_b2_fail_the_five_lines_clause():
+    # AB = A'B' makes AA' = BB', so the five-lines clause fires before the side clauses
+    broken = parallel_mode_example()._replace(a_prime=rp(2, 0), b_prime=rp(3, 0), c_prime=rp(3, 1))
+    with pytest.raises(HypothesisViolationError) as raised:
+        check_desargues(broken)
+    assert str(raised.value) == (
+        "hypothesis violated: the lines AA', BB', CC', AC, A'C' must be pairwise distinct"
+    )
 
 
 @pytest.mark.parametrize("example", [parallel_mode_example, concurrent_mode_example])
