@@ -204,9 +204,8 @@ def _cmd_desargues(args) -> int:
             failures.append(f"config {index}: {exc}")
             continue
         if args.flip_c_prime:
-            moved = cfg.c_prime
-            one = moved.field.one
-            cfg = cfg._replace(c_prime=PlanePoint(moved.x + one, moved.y + one))
+            one = cfg.c_prime.field.one
+            cfg = cfg._replace(c_prime=PlanePoint(cfg.c_prime.x + one, cfg.c_prime.y + one))
         canonicals.append(cfg.canonical())
         try:
             # the generator's verdict is for the configuration it drew, not the tampered one

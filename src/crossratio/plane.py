@@ -15,7 +15,9 @@ Desargues configurations (two triangles in parallel or central perspective
 with two pairs of parallel sides).  check_desargues is the one checker: it
 draws nine lines once, raises on the first violated hypothesis clause and
 returns whether the conclusion AC parallel to A'C' holds.  The generator
-returns each configuration with that verdict, as (cfg, holds).
+returns each configuration with that verdict, as (cfg, holds).  With the
+auxiliary point off the axis, every intersection a construction asks for
+exists.  Construction traces and DesarguesConfigs are named tuples.
 
 A PlaneLine stores its slope, the point it was drawn through (its base
 point) and the direction payloads (u, v) it was drawn along, with v =
@@ -68,7 +70,7 @@ class AuxiliaryPointError(PreconditionError):
 
 
 class DegenerateConfigurationError(PreconditionError):
-    """A construction step needed an intersection that does not exist."""
+    """A configuration or figure the plane cannot build or draw."""
 
 
 class HypothesisViolationError(DegenerateConfigurationError):
@@ -335,8 +337,7 @@ def _ruler(chart: Chart, a, b, aux, kinds: tuple[str, ...]) -> tuple[Constructio
             guide, target = ("I-B1", line_through(chart.i, aux)), o_aux
         guide_label, guide_line = guide
         through_a = parallel_through(guide_line, a)
-        # neither intersect returns None: aux is off the axis, so O-aux, I-aux
-        # and B-aux each cross it, and O-aux != I-aux
+        # no meet is parallel: aux is off the axis, so O-aux, I-aux, B-aux cross it, O-aux != I-aux
         p1 = intersect(through_a, target[1])
         through_p1 = parallel_through(transfer, p1)
         c = intersect(through_p1, axis)
@@ -451,8 +452,7 @@ def check_desargues(cfg: DesarguesConfig) -> bool:
             if not join.contains(center):
                 fail("the lines AA', BB', CC' must pass through the center")
 
-    # Parallel sides need no distinctness clause: AB = A'B' puts A, A', B and
-    # B' on one line, so AA' = BB' and the five-lines clause has failed; BC alike.
+    # no distinctness clause: AB = A'B' makes AA' = BB', failing the five-lines clause; BC alike
     if not parallel(line_through(a, b), line_through(a2, b2)):
         fail("sides AB and A'B' must be parallel")
     if not parallel(line_through(b, c), line_through(b2, c2)):

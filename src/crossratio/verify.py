@@ -21,6 +21,7 @@ A check's scope says which fields its law holds over (any skew field, or
 only commutative, only noncommutative, only the quaternions); run_check
 records a check outside the field's scope as a skip with its reason, so
 every caller gets the same record.  Both runners take a Field instance.
+Each check is a CheckDef named tuple in CHECKS, registered in report order.
 A check that gets no valid input at all (an empty enumeration, or
 REDRAW_CAP rejected draws in a row) raises NoValidInputError rather than
 passing vacuously.
@@ -78,10 +79,9 @@ class NoValidInputError(ValueError):
     """The field offers a check no input tuple that meets its preconditions."""
 
 
-# scope: all | commutative | noncommutative | quaternion; kind: equality |
-# witness-search; draw(field, rng) gives an inputs tuple, or None to redraw;
-# evaluate(field, inputs) gives a list of witness dicts; enumerate_inputs(field)
-# yields every valid inputs tuple of a small field.
+# scope: all | commutative | noncommutative | quaternion; kind: equality | witness-search;
+# draw(field, rng) -> inputs tuple, or None to redraw; evaluate(field, inputs) -> list of
+# witness dicts; enumerate_inputs(field) -> every valid inputs tuple of a small field.
 CheckDef = namedtuple(
     "CheckDef",
     "name description scope kind draw evaluate enumerate_inputs",
