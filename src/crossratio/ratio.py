@@ -11,6 +11,12 @@ arrangement is a different point.  The codomain is the line extended by a
 single point at infinity, written ``inf``, which absorbs the 0^-1 cases
 arising when two of the four arguments coincide.
 
+One two-point coordinate carries all three: rho(X) = (A-X)^-1 (B-X) sends A
+to inf, B to 0 and inf to 1, r(A,B;C) = rho(C)^-1 is rho with A and B
+exchanged, c_r(A,B;C,D) = rho(D) * rho(C)^-1, and solve_fourth_point finds
+the D with rho(D) = R * rho(C).  The private _rho is the only code here that
+computes (A-X)^-1 (B-X).
+
 ratio2, ratio3, cross_ratio, cross_ratio_alt and solve_fourth_point compute
 on the field payloads, through the field's own _sub and _mul, and divide in
 one step through its _ldiv (x^-1 * y) and _rdiv (x * y^-1); only the inverse
@@ -18,7 +24,8 @@ terms of cross_ratio_alt call _inv.  Each wraps only the value it returns in
 an Element or ExtendedPoint, and checks its arguments once, before it looks
 at their values: a non-Element (for cross_ratio, neither an Element nor an
 ExtendedPoint) raises TypeError, and then unequal fields raise
-FieldMismatchError.  So a call that mixes fields raises FieldMismatchError
+FieldMismatchError.  ExtendedPoint applies the same two rules to its value
+when it is built.  So a call that mixes fields raises FieldMismatchError
 even where its values alone would raise DivisionByZeroError or a domain
 error.  Every coincidence and zero test is then decided on payloads, which
 is exact because equal elements of a field have equal payloads, and every
@@ -29,7 +36,8 @@ nonzero.
 from __future__ import annotations
 
 from .fields import (
-    DivisionByZeroError, Element, Field, PreconditionError, _check_elements, _same_field
+    DivisionByZeroError, Element, Field, FieldMismatchError, PreconditionError, _check_elements,
+    _same_field,
 )
 
 
@@ -53,6 +61,11 @@ class ExtendedPoint:
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value: Element | None):
+        if value is not None and not (value.__class__ is Element and value.field is field):
+            if not isinstance(value, Element):
+                raise TypeError(f"expected a field element or None, got {type(value).__name__}")
+            if value.field is not field and value.field != field:
+                raise FieldMismatchError(f"mixing elements of {field} and {value.field}")
         self.field = field
         self.value = value  # None encodes infinity
 
@@ -112,6 +125,15 @@ def ratio2(a: Element, b: Element) -> Element:
     return Element(f, f._ldiv(pb, a.value))
 
 
+def _rho(f: Field, pa, pb, px):
+    """The two-point coordinate rho(X) = (A-X)^-1 (B-X) on payloads; requires X != A.
+
+    rho sends A to inf, B to 0 and inf to 1, and c_r(A,B;C,D) = rho(D) * rho(C)^-1,
+    where rho(C)^-1 = r(A,B;C) is rho with A and B exchanged.
+    """
+    return f._ldiv(f._sub(pa, px), f._sub(pb, px))
+
+
 def ratio3(a: Element, b: Element, c: Element) -> Element:
     """3-point ratio r(A,B;C) = (B-C)^-1 (A-C); requires B != C."""
     if not (a.__class__ is b.__class__ is c.__class__ is Element and a.field is b.field is c.field):
@@ -121,7 +143,7 @@ def ratio3(a: Element, b: Element, c: Element) -> Element:
     if pb == pc:
         raise DivisionByZeroError("ratio of three points needs B != C")
     # B - C is nonzero: the test above took B == C
-    return Element(f, f._ldiv(f._sub(pb, pc), f._sub(a.value, pc)))
+    return Element(f, _rho(f, pb, a.value, pc))
 
 
 def cross_ratio(
@@ -132,14 +154,17 @@ def cross_ratio(
 ) -> ExtendedPoint:
     """Cross-ratio c_r(A,B;C,D) of four collinear points, at most one infinite.
 
-    Every case is decided by the six coincidences ab, ac, ad, bc, bd, cd
-    (ab means A = B; the point at infinity equals no argument), in order:
-    two infinite arguments, or three coincident ones (ab and (bc or bd), or
-    cd and (ac or bc)), are rejected; a single infinite argument selects its
-    reduced formula, which is inf when the inverted difference vanishes (bc
-    for an infinite A or D, ad for an infinite B or C); otherwise ab or cd
-    gives 1, then ac or bd gives 0, then ad or bc gives inf, and only four
-    distinct finite points reach the defining product.
+    In the two-point coordinate rho(X) = (A-X)^-1 (B-X), which sends A to inf,
+    B to 0 and inf to 1, the value is rho(D) * rho(C)^-1.  Write ab for A = B
+    and so on; the point at infinity equals no argument.  Two infinite
+    arguments, or three coincident ones (ab and (bc or bd), or cd and (ac or
+    bc)), are rejected.  Then ad or bc gives inf (rho(D) = inf or rho(C) = 0),
+    ab or cd gives 1, and ac or bd gives 0; once three coincident arguments are
+    rejected no two of these groups hold together, so their order is free, and
+    they hold with one infinite argument too.  Otherwise every difference with
+    the infinite argument drops out of the product: an infinite A leaves
+    (B-D)(B-C)^-1, an infinite B (A-D)^-1(A-C), an infinite C rho(D) and an
+    infinite D rho(C)^-1.
     """
     pa, pb, pc, pd = _payload(a), _payload(b), _payload(c), _payload(d)  # None is infinity
     f = a.field
@@ -151,33 +176,25 @@ def cross_ratio(
     ab, ac, ad, bc, bd, cd = pa == pb, pa == pc, pa == pd, pb == pc, pb == pd, pc == pd
     if (ab and (bc or bd)) or (cd and (ac or bc)):
         raise CrossRatioArgumentError("no three cross-ratio arguments may coincide")
-
-    sub, ldiv = f._sub, f._ldiv
-    if pa is None:  # c_r(inf,B;C,D) = (B-D)(B-C)^-1
-        if bc:
-            return ExtendedPoint(f, None)
-        # B - C is nonzero: bc is False
-        return ExtendedPoint(f, Element(f, f._rdiv(sub(pb, pd), sub(pb, pc))))
-    if pb is None:  # c_r(A,inf;C,D) = (A-D)^-1(A-C)
-        vanishes, den, num = ad, (pa, pd), (pa, pc)
-    elif pc is None:  # c_r(A,B;inf,D) = (A-D)^-1(B-D)
-        vanishes, den, num = ad, (pa, pd), (pb, pd)
-    elif pd is None:  # c_r(A,B;C,inf) = (B-C)^-1(A-C)
-        vanishes, den, num = bc, (pb, pc), (pa, pc)
-    elif ab or cd:
+    if ad or bc:  # rho(D) = inf or rho(C) = 0
+        return ExtendedPoint(f, None)
+    if ab or cd:
         return ExtendedPoint(f, f.one)
-    elif ac or bd:
+    if ac or bd:
         return ExtendedPoint(f, f.zero)
-    elif ad or bc:
-        return ExtendedPoint(f, None)
+    # Every divisor below is nonzero: ad and bc are both False, and no two
+    # points coincide.
+    if pa is None:
+        value = f._rdiv(f._sub(pb, pd), f._sub(pb, pc))
+    elif pb is None:
+        value = f._ldiv(f._sub(pa, pd), f._sub(pa, pc))
+    elif pc is None:
+        value = _rho(f, pa, pb, pd)
+    elif pd is None:
+        value = _rho(f, pb, pa, pc)
     else:
-        # A - D and B - C are nonzero: ad and bc are both False
-        left = ldiv(sub(pa, pd), sub(pb, pd))
-        return ExtendedPoint(f, Element(f, f._mul(left, ldiv(sub(pb, pc), sub(pa, pc)))))
-    if vanishes:  # 0^-1 = inf convention
-        return ExtendedPoint(f, None)
-    # the divisor is nonzero: vanishes is False
-    return ExtendedPoint(f, Element(f, ldiv(sub(*den), sub(*num))))
+        value = f._mul(_rho(f, pa, pb, pd), _rho(f, pb, pa, pc))
+    return ExtendedPoint(f, Element(f, value))
 
 
 def cross_ratio_alt(a: Element, b: Element, c: Element, d: Element) -> Element:
@@ -206,10 +223,12 @@ def cross_ratio_alt(a: Element, b: Element, c: Element, d: Element) -> Element:
 def solve_fourth_point(r: Element, a: Element, b: Element, c: Element) -> Element:
     """The unique finite D with cross_ratio(A,B;C,D) = R.
 
-    Requires R outside {0, 1} and A, B, C pairwise distinct.  Writing
-    S = R * r(A,B;C)^-1, the defining relation r(B,A;D) = S unwinds to
-    D = (A*S - B) * (S - 1)^-1; S = 1 means the solution escaped to
-    infinity and raises InfiniteSolutionError.
+    Requires R outside {0, 1} and A, B, C pairwise distinct.  In the
+    two-point coordinate rho(X) = (A-X)^-1 (B-X), R = rho(D) * rho(C)^-1, so
+    D is the point with rho(D) = S for S = R * rho(C), and solving
+    (A-D)^-1 (B-D) = S gives D = (A*S - B) * (S - 1)^-1.  rho sends only inf
+    to 1, so S = 1 means the solution escaped to infinity and raises
+    InfiniteSolutionError.
     """
     if not (
         r.__class__ is a.__class__ is b.__class__ is c.__class__ is Element
@@ -223,8 +242,8 @@ def solve_fourth_point(r: Element, a: Element, b: Element, c: Element) -> Elemen
         raise InvalidRatioPointError("the target ratio value must differ from 0 and 1")
     if len({a.value, b.value, c.value}) != 3:
         raise CrossRatioArgumentError("the three given points must be pairwise distinct")
-    # r(A,B;C) = (B-C)^-1 (A-C) is nonzero, since A != C
-    s = f._rdiv(pr, ratio3(a, b, c).value)
+    # A - C is nonzero, since the points are distinct
+    s = f._mul(pr, _rho(f, a.value, b.value, c.value))
     if s == one:
         raise InfiniteSolutionError("the fourth point for this value lies at infinity")
     # S - 1 is nonzero: the test above took S == 1

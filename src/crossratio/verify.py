@@ -36,7 +36,6 @@ import random
 from collections import namedtuple
 
 from .fields import (
-    Element,
     Field,
     GaloisField,
     PreconditionError,
