@@ -126,11 +126,7 @@ def ratio2(a: Element, b: Element) -> Element:
 
 
 def _rho(f: Field, pa, pb, px):
-    """The two-point coordinate rho(X) = (A-X)^-1 (B-X) on payloads; requires X != A.
-
-    rho sends A to inf, B to 0 and inf to 1, and c_r(A,B;C,D) = rho(D) * rho(C)^-1,
-    where rho(C)^-1 = r(A,B;C) is rho with A and B exchanged.
-    """
+    """The two-point coordinate rho(X) = (A-X)^-1 (B-X) on payloads; requires X != A."""
     return f._ldiv(f._sub(pa, px), f._sub(pb, px))
 
 

@@ -7,8 +7,6 @@ comparisons are exact; there are no tolerances anywhere in this file.
 import json
 import random
 
-import pytest
-
 from conftest import (
     GF5,
     GF101,

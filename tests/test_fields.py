@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import crossratio
-from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
+from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, field_and_elements
 from crossratio.fields import (
     RANDOM_COEFF_BOUND,
     DivisionByZeroError,

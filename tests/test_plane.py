@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
+from conftest import GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
 from crossratio import plane
 from crossratio.plane import (
     AuxiliaryPointError,
     Chart,
-    DegenerateConfigurationError,
     DesarguesConfig,
     GenerationFailureError,
     HypothesisViolationError,

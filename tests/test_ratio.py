@@ -5,6 +5,7 @@ Commutative-field values are cross-checked against a plain Fraction oracle,
 quaternion values against the standalone product-table oracle.
 """
 
+import collections
 import itertools
 from fractions import Fraction
 
@@ -12,8 +13,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
-from crossratio.fields import DivisionByZeroError, Element, FieldMismatchError, commutes, conjugate_by
+from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
+from crossratio import cli
+from crossratio.fields import (
+    DivisionByZeroError, Element, FieldMismatchError, GaloisField, RationalField, commutes, conjugate_by
+)
 from crossratio.ratio import (
     CrossRatioArgumentError,
     ExtendedPoint,
@@ -25,7 +29,7 @@ from crossratio.ratio import (
     ratio3,
     solve_fourth_point,
 )
-from test_fields import I_Q, J_Q, K_Q, QUATERNION_COEFFS, q_inv, q_mul, q_parts, quaternion_tuples
+from test_fields import I_Q, J_Q, K_Q, QUATERNION_COEFFS, q_inv, q_mul, quaternion_tuples
 
 
 def fraction_cross_ratio(a, b, c, d):
@@ -54,6 +58,22 @@ def test_finite_point_hashes_like_its_element(field):
         assert len({x, ExtendedPoint.finite(x)}) == 1
     inf = ExtendedPoint.infinity(field)
     assert len({inf, ExtendedPoint.infinity(field), field.zero}) == 2
+
+
+def test_extended_point_rejects_a_foreign_or_non_element_value(capsys):
+    # neither a GF(11) payload nor a bare int may reach GF(7) arithmetic
+    with pytest.raises(FieldMismatchError):
+        ExtendedPoint(GF7, GaloisField(11).element(10))
+    with pytest.raises(TypeError):
+        ExtendedPoint(GF7, 3)
+    # an equal field built separately is the same field, as everywhere else
+    assert ExtendedPoint(GF7, GaloisField(7).element(3)) == GF7.element(3)
+    fin, inf = ExtendedPoint.finite(GF7.element(3)), ExtendedPoint.infinity(GF7)
+    assert fin.field is GF7 and fin.value == GF7.element(3)
+    assert inf.field is GF7 and inf.value is None
+    assert cli.main(["eval", "--field", "gf:7", "--", "inf", "2", "3", "3"]) == 0
+    assert cli.main(["eval", "--field", "gf:7", "--", "1", "inf", "2", "1"]) == 0
+    assert capsys.readouterr().out.split() == ["1", "inf"]
 
 
 # ---------------------------------------------------------------- ratio2 / ratio3
@@ -308,6 +328,62 @@ def test_cross_ratio_matches_reference_on_every_pattern(fld):
     lookup = dict(zip("ABCD", xs), **{"*": ExtendedPoint.infinity(fld)})
     for pattern in PATTERNS:
         assert_agrees_with_reference([lookup[ch] for ch in pattern])
+
+
+def counted(name):
+    """RationalField's kernel `name`, counting its calls in self.calls."""
+    def kernel(self, *args):
+        self.calls[name] += 1
+        return getattr(RationalField, name)(self, *args)
+    return kernel
+
+
+class CountingRational(RationalField):
+    """Rationals whose arithmetic kernels count their calls."""
+
+    _add, _sub, _mul, _inv, _ldiv, _rdiv = map(counted, ("_add", "_sub", "_mul", "_inv", "_ldiv", "_rdiv"))
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+
+def expected_kernel_calls(pattern):
+    """The kernel calls cross_ratio makes on a pattern of PATTERNS that it accepts."""
+    letters = pattern.replace("*", "")
+    if len(set(letters)) < len(letters):
+        return {}  # a coincidence decides 0, 1 or inf before any arithmetic
+    if pattern[0] == "*":
+        return {"_sub": 2, "_rdiv": 1}
+    if "*" in pattern:
+        return {"_sub": 2, "_ldiv": 1}
+    return {"_sub": 4, "_ldiv": 2, "_mul": 1}
+
+
+def test_kernel_calls_of_every_ratio_branch():
+    # A difference with the infinite argument drops out and costs nothing; a
+    # rejected tuple costs nothing either.
+    fld = CountingRational()
+    xs = [fld.element(n) for n in (2, 5, -3, 7)]
+    lookup = dict(zip("ABCD", xs), **{"*": ExtendedPoint.infinity(fld)})
+    wrong = {}
+    for pattern in PATTERNS:
+        fld.calls.clear()
+        try:
+            cross_ratio(*(lookup[ch] for ch in pattern))
+            want = expected_kernel_calls(pattern)
+        except CrossRatioArgumentError:
+            want = {}
+        if fld.calls != want:
+            wrong[pattern] = dict(fld.calls)
+    assert wrong == {}
+
+    a, b, c = xs[:3]
+    fld.calls.clear()
+    ratio3(a, b, c)
+    assert fld.calls == {"_sub": 2, "_ldiv": 1}
+    fld.calls.clear()
+    solve_fourth_point(fld.element(Fraction(3, 4)), a, b, c)
+    assert fld.calls == {"_sub": 4, "_ldiv": 1, "_mul": 2, "_rdiv": 1}
 
 
 # ---------------------------------------------------------------- payloads vs Element formulas
