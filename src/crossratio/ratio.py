@@ -36,8 +36,7 @@ nonzero.
 from __future__ import annotations
 
 from .fields import (
-    DivisionByZeroError, Element, Field, FieldMismatchError, PreconditionError, _check_elements,
-    _same_field,
+    DivisionByZeroError, Element, Field, PreconditionError, _check_elements, _same_field
 )
 
 
@@ -61,13 +60,12 @@ class ExtendedPoint:
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value: Element | None):
+        self.field = field
+        self.value = value  # None encodes infinity
         if value is not None and not (value.__class__ is Element and value.field is field):
             if not isinstance(value, Element):
                 raise TypeError(f"expected a field element or None, got {type(value).__name__}")
-            if value.field is not field and value.field != field:
-                raise FieldMismatchError(f"mixing elements of {field} and {value.field}")
-        self.field = field
-        self.value = value  # None encodes infinity
+            _same_field((self, value))
 
     @classmethod
     def finite(cls, x: Element) -> "ExtendedPoint":
