@@ -10,7 +10,7 @@ only at infinity (ratio.InfiniteSolutionError), 5 I/O failure.  main reads
 codes 3 and 4 from the error's class attribute exit_code.  A verification
 or Desargues run that completes but finds failures exits 1.
 
-Bad configuration includes a GF modulus of PRIME_TEST_LIMIT (about
+Bad configuration includes a GF modulus of gf.PRIME_TEST_LIMIT (about
 3.3e24) or more, a `verify` field too small to give some check any valid
 input (gf:2 and gf:3), and a `desargues --count` below 1.
 
@@ -27,9 +27,10 @@ Importing this module and calling build_parser() load only fields and svg
 from the package, and neither json nor fractions.  Each subcommand imports
 what it uses when it runs: eval and solve the ratio layer, construct the
 plane layer, desargues the plane layer and hashlib, and verify the
-verification engine, which loads ratio and plane.  json loads only for
---format json, and fractions only where fields takes or returns a
-Fraction.  This keeps a one-shot process short.
+verification engine, which loads ratio and plane.  A --field gf:P loads
+gf and --field quaternion loads quaternion; verify loads both.  json loads
+only for --format json, and fractions only where a field takes or returns
+a Fraction.  This keeps a one-shot process short.
 """
 
 from __future__ import annotations

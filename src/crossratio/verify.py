@@ -35,13 +35,8 @@ import itertools
 import random
 from collections import namedtuple
 
-from .fields import (
-    Field,
-    GaloisField,
-    PreconditionError,
-    QuaternionField,
-    commutes,
-)
+from .fields import Field, PreconditionError, commutes
+from .gf import GaloisField
 from .plane import (
     Chart,
     GenerationFailureError,
@@ -56,6 +51,7 @@ from .plane import (
     point,
     random_point,
 )
+from .quaternion import QuaternionField
 from .ratio import (
     ExtendedPoint,
     cross_ratio,

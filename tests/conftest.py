@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
 from crossratio import ratio, verify
-from crossratio.fields import GaloisField, QuaternionField, RationalField
+from crossratio.fields import RationalField
+from crossratio.gf import GaloisField
+from crossratio.quaternion import QuaternionField
 from crossratio.ratio import cross_ratio
 
 # No shrink phase: shrinking a failure of the exact-arithmetic kernels can

@@ -25,15 +25,13 @@ from crossratio.fields import (
     DivisionByZeroError,
     Element,
     FieldMismatchError,
-    GaloisField,
-    QuaternionField,
-    _is_prime,
-    _randbelow,
     commutes,
     conjugate_by,
     field_by_name,
 )
+from crossratio.gf import GaloisField, _is_prime, _randbelow
 from crossratio.plane import Chart, PlaneLine, PlanePoint, intersect, line_through, parallel_through
+from crossratio.quaternion import QuaternionField
 from crossratio.ratio import ExtendedPoint, cross_ratio, cross_ratio_alt, ratio2, ratio3, solve_fourth_point
 
 
@@ -420,7 +418,8 @@ def test_quaternion_coercion_is_canonical():
 FRACTIONS_GUARD = """
 import sys
 loaded = ["fractions" in sys.modules]
-from crossratio.fields import QuaternionField, RationalField
+from crossratio.fields import RationalField
+from crossratio.quaternion import QuaternionField
 q, r = QuaternionField(), RationalField()
 loaded.append("fractions" in sys.modules)
 str(q.one * q.element(True) + q.zero + q.parse("2/4+i+i")), str(r.parse("-6/9") + r.element(3))

@@ -33,7 +33,8 @@ from crossratio.plane import (
     parallel_through,
     point,
 )
-from crossratio.fields import FieldMismatchError, GaloisField
+from crossratio.fields import FieldMismatchError
+from crossratio.gf import GaloisField
 from test_fields import I_Q, J_Q, QUATERNION_COEFFS, quaternion_tuples
 
 

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, element_strategy, field_and_elements
 from crossratio import cli
 from crossratio.fields import (
-    DivisionByZeroError, Element, FieldMismatchError, GaloisField, RationalField, commutes, conjugate_by
+    DivisionByZeroError, Element, FieldMismatchError, RationalField, commutes, conjugate_by
 )
+from crossratio.gf import GaloisField
 from crossratio.ratio import (
     CrossRatioArgumentError,
     ExtendedPoint,

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, swapped_inverse_form_matches
 from crossratio import verify
-from crossratio.fields import DivisionByZeroError, GaloisField, field_by_name
+from crossratio.fields import DivisionByZeroError, field_by_name
+from crossratio.gf import GaloisField
 from crossratio.plane import Chart, point
 from crossratio.verify import (
     CHECKS,
