@@ -57,6 +57,9 @@ class QuaternionField(Field):
         if isinstance(raw, Fraction):
             return (raw.numerator, 0, 0, 0, raw.denominator)
         if isinstance(raw, tuple) and len(raw) == 4:
+            for part in raw:
+                if not isinstance(part, (int, Fraction)):
+                    raise TypeError(f"cannot make a quaternion coefficient from {type(part).__name__}")
             parts = [Fraction(part) for part in raw]
             n = math.lcm(*(part.denominator for part in parts))
             # Already reduced: for each prime p of n, the part whose denominator

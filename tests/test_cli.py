@@ -1003,7 +1003,7 @@ preloaded = set(sys.modules)
 import crossratio.cli
 crossratio.cli.build_parser()
 lazy = (
-    "crossratio.verify", "crossratio.plane", "crossratio.ratio",
+    "crossratio.verify", "crossratio.plane", "crossratio.ratio", "crossratio.gf", "crossratio.quaternion",
     "dataclasses", "hashlib", "datetime", "fractions", "decimal",
 )
 loaded = [name for name in lazy if name in sys.modules and name not in preloaded]
@@ -1060,7 +1060,10 @@ def test_import_loads_no_subcommand_dependencies(tmp_path):
 # then by the request, leaving out those loaded before the import.
 SUBCOMMAND_GUARD = """
 import contextlib, io, sys
-watched = ("crossratio.plane", "crossratio.ratio", "fractions", "decimal", "json")
+watched = (
+    "crossratio.plane", "crossratio.ratio", "crossratio.gf", "crossratio.quaternion",
+    "fractions", "decimal", "json",
+)
 preloaded = set(sys.modules)
 def loaded():
     return [name for name in watched if name in sys.modules and name not in preloaded]
@@ -1078,9 +1081,10 @@ print(repr((at_import, loaded(), code, out.getvalue())))
     [
         (
             ["eval", "--field", "quaternion", "i", "j", "k", "1+i"],
-            ["crossratio.ratio"],
+            ["crossratio.ratio", "crossratio.quaternion"],
             "1/2+1/2i-1/2j+3/2k\n",
         ),
+        (["eval", "--field", "gf:7", "2", "3", "1", "0"], ["crossratio.ratio", "crossratio.gf"], "6\n"),
         (["solve", "--field", "rational", "2", "3", "1", "0"], ["crossratio.ratio"], "-3\n"),
         (
             ["solve", "--field", "rational", "--format", "json", "2", "3", "1", "0"],
@@ -1101,7 +1105,7 @@ print(repr((at_import, loaded(), code, out.getvalue())))
             "5,0\n",
         ),
     ],
-    ids=["eval-quaternion", "solve-rational", "solve-json", "construct"],
+    ids=["eval-quaternion", "eval-gf", "solve-rational", "solve-json", "construct"],
 )
 def test_each_subcommand_loads_only_what_it_uses(argv, loaded, out):
     src = str(pathlib.Path(crossratio.__file__).parents[1])
@@ -1132,3 +1136,33 @@ def test_package_root_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Runs in a fresh interpreter: the family modules loaded by importing fields,
+# then what the benchmark's two aliases resolve to and what another name raises.
+FAMILY_GUARD = """
+import sys
+import crossratio.fields as fields
+print(["crossratio.gf" in sys.modules, "crossratio.quaternion" in sys.modules])
+import crossratio.gf as gf, crossratio.quaternion as quaternion
+print([fields.GaloisField is gf.GaloisField, fields.QuaternionField is quaternion.QuaternionField])
+try:
+    fields.Nope
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_fields_loads_no_family_module():
+    src = str(pathlib.Path(crossratio.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FAMILY_GUARD],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "[False, False]\n[True, True]\nmodule 'crossratio.fields' has no attribute 'Nope'\n"
+    )

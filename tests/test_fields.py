@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -410,6 +411,26 @@ def test_quaternion_coercion_is_canonical():
     assert_reduced(x)
     with pytest.raises(TypeError, match="^cannot make a quaternion from float$"):
         QUATERNION.element(0.5)
+
+
+def test_quaternion_coefficients_are_ints_or_fractions():
+    # each coefficient is an int (a bool included) or a Fraction, as a scalar is
+    for bad in (0.1, "1/3", Decimal("0.5"), None):
+        message = f"^cannot make a quaternion coefficient from {type(bad).__name__}$"
+        for slot in range(4):
+            coeffs = [0, 0, 0, 0]
+            coeffs[slot] = bad
+            with pytest.raises(TypeError, match=message):
+                QUATERNION.element(tuple(coeffs))
+    # payloads as before: one reduced denominator, every part an int
+    for coeffs, payload in [
+        ((1, -2, 3, 4), (1, -2, 3, 4, 1)),
+        ((True, False, True, 0), (1, 0, 1, 0, 1)),
+        ((Fraction(1, 2), Fraction(-2, 3), 0, 5), (3, -4, 0, 30, 6)),
+        ((Fraction(4, 2), 0, 0, Fraction(-3, 9)), (6, 0, 0, -1, 3)),
+    ]:
+        x = QUATERNION.element(coeffs)
+        assert x.value == payload and all(type(part) is int for part in x.value)
 
 
 # Runs in a fresh interpreter: whether fractions is loaded at startup, after
