@@ -2,14 +2,9 @@
 
 fields.field_by_name loads this module only for the 'quaternion' selector,
 so a process over the rationals never compiles it.  It shares the rational
-literal reader and the random coefficient draw with fields.RationalField;
-the QuaternionField docstring lists each kernel's gcds.  A literal is
-
-    quaternion := term (('+'|'-') term)*
-    term       := rational unit? | unit ;  unit := 'i' | 'j' | 'k'
-
-and is read as ints: each unit's coefficients are summed over a common
-denominator, with no Fraction built.
+literal reader and the random coefficient draw with fields.RationalField.
+The fields docstring gives the literal grammar, and the QuaternionField
+docstring lists each kernel's gcds.
 """
 
 from __future__ import annotations
