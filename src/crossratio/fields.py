@@ -16,8 +16,8 @@ The module also owns the element literal grammar shared with the CLI:
 
     rational   := '-'? digits ('/' digits)?
     gfp        := digits                       (reduced mod p from context)
-    quaternion := term (('+'|'-') term)*
-    term       := rational unit? | unit ;  unit := 'i' | 'j' | 'k'
+    quaternion := sign? term (sign term)* ;  sign := '+' | '-'
+    term       := digits ('/' digits)? unit? | unit ;  unit := 'i' | 'j' | 'k'
 
 Digits are ASCII 0-9 only.  Whitespace is ignored.  ``str(field.parse(s))``
 is the canonical spelling of ``s``.

@@ -8,9 +8,6 @@ from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
 from crossratio import ratio, verify
-from crossratio.fields import RationalField
-from crossratio.gf import GaloisField
-from crossratio.quaternion import QuaternionField
 from crossratio.ratio import cross_ratio
 
 # No shrink phase: shrinking a failure of the exact-arithmetic kernels can
@@ -25,11 +22,10 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-RATIONAL = RationalField()
-GF5 = GaloisField(5)
-GF7 = GaloisField(7)
-GF101 = GaloisField(101)
-QUATERNION = QuaternionField()
+# Imported after load_profile: @given takes the default settings when it decorates.
+from test_conformance import ROWS
+
+RATIONAL, GF5, GF7, GF101, QUATERNION = (ROWS[name].field for name in ("rational", "gf:5", "gf:7", "gf:101", "quaternion"))
 
 # every field under test; MAIN_FIELDS is the heavy-duty trio used at scale
 FIELDS = (RATIONAL, GF5, GF101, QUATERNION)
@@ -55,16 +51,9 @@ def broken_ratios(monkeypatch):
 
 
 def element_strategy(field, nonzero=False):
-    # bounded literals keep bignum growth small while exercising signs and denominators
-    if isinstance(field, GaloisField):
-        strat = st.integers(min_value=0, max_value=field.p - 1).map(field.element)
-    elif isinstance(field, QuaternionField):
-        scalar = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-        strat = st.tuples(scalar, scalar, scalar, scalar).map(field.element)
-    else:
-        strat = st.fractions(min_value=-40, max_value=40, max_denominator=24).map(
-            field.element
-        )
+    # the first scale of the field's conformance row: desk-scale values that
+    # keep bignum growth small while exercising signs and denominators
+    strat = next(iter(ROWS[field.name].scales.values())).map(field.element)
     if nonzero:
         strat = strat.filter(lambda x: not x.is_zero)
     return strat

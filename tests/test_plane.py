@@ -35,7 +35,7 @@ from crossratio.plane import (
 )
 from crossratio.fields import FieldMismatchError
 from crossratio.gf import GaloisField
-from test_fields import I_Q, J_Q, QUATERNION_COEFFS, quaternion_tuples
+from test_conformance import I_Q, J_Q, ROWS
 
 
 def rp(x, y):
@@ -281,7 +281,7 @@ DIFFERENTIAL_ELEMENTS = {
     "gf7": element_strategy(GF7),
     "gf101": element_strategy(GF101),
     "quaternion": element_strategy(QUATERNION),
-    "quaternion-256-bit": quaternion_tuples(QUATERNION_COEFFS["256-bit"]).map(QUATERNION.element),
+    "quaternion-256-bit": ROWS["quaternion"].scales["256-bit"].map(QUATERNION.element),
 }
 
 

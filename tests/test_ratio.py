@@ -30,7 +30,7 @@ from crossratio.ratio import (
     ratio3,
     solve_fourth_point,
 )
-from test_fields import I_Q, J_Q, K_Q, QUATERNION_COEFFS, q_inv, q_mul, quaternion_tuples
+from test_conformance import I_Q, J_Q, K_Q, ROWS, q_inv, q_mul
 
 
 def fraction_cross_ratio(a, b, c, d):
@@ -467,7 +467,7 @@ DIFFERENTIAL_FIELDS = {
     "quaternion": (QUATERNION, element_strategy(QUATERNION)),
     "quaternion-256-bit": (
         QUATERNION,
-        quaternion_tuples(QUATERNION_COEFFS["256-bit"]).map(QUATERNION.element),
+        ROWS["quaternion"].scales["256-bit"].map(QUATERNION.element),
     ),
 }
 
