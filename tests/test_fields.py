@@ -1,10 +1,15 @@
 """Element arithmetic over the three coordinate fields: construction,
 coercion, field mixing, worked examples and literal edge cases.
 
-test_conformance.py checks each family's kernels against a slow oracle, its
-canonical payloads, format and parse, random draws and ring axioms.
+Derived example values are recomputed here through standalone oracles
+(plain Fraction arithmetic, the quaternion product table of
+test_conformance.py, and modular exponentiation) rather than trusted from the
+implementation.  test_conformance.py checks each family's kernels against its
+oracle at every scale, its canonical payloads, format and parse, random draws
+and ring axioms.
 """
 
+import math
 import os
 import pathlib
 import random
@@ -18,13 +23,49 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import crossratio
-from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL
-from crossratio.fields import DivisionByZeroError, FieldMismatchError, commutes, conjugate_by, field_by_name
+from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, field_and_elements
+from crossratio.fields import (
+    RANDOM_COEFF_BOUND,
+    DivisionByZeroError,
+    Element,
+    FieldMismatchError,
+    commutes,
+    conjugate_by,
+    field_by_name,
+)
 from crossratio.gf import GaloisField, _is_prime, _randbelow
 from crossratio.plane import Chart, PlaneLine, PlanePoint, intersect, line_through, parallel_through
 from crossratio.quaternion import QuaternionField
 from crossratio.ratio import ExtendedPoint, cross_ratio, cross_ratio_alt, ratio2, ratio3, solve_fourth_point
-from test_conformance import I_Q, J_Q, q_inv, q_mul, q_payload
+from test_conformance import I_Q, J_Q, K_Q, QUATERNIONS, q_inv, q_mul, q_payload, q_str
+
+q_add, q_sub, q_neg = QUATERNIONS.add, QUATERNIONS.sub, QUATERNIONS.neg
+
+
+# ---------------------------------------------------------------- payload readers
+
+
+def q_parts(x):
+    # the payload (a, b, c, d, n) read back as the four coefficients a/n, b/n, c/n, d/n
+    *numerators, n = x.value
+    return tuple(Fraction(part, n) for part in numerators)
+
+
+def assert_reduced(x):
+    # the unique payload: four ints over a positive int denominator, in lowest terms
+    assert all(type(part) is int for part in x.value)
+    assert x.value[4] > 0 and math.gcd(*x.value) == 1
+
+
+def r_value(x):
+    # the payload (n, d) read back as the Fraction n/d
+    return Fraction(*x.value)
+
+
+def assert_rational_payload(got, want):
+    # the unique payload: two ints, n over a positive d in lowest terms, which is Fraction's own form
+    assert all(type(part) is int for part in got)
+    assert got == (want.numerator, want.denominator)
 
 
 # ---------------------------------------------------------------- construction
@@ -52,6 +93,14 @@ def test_primality_agrees_with_trial_division():
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
     assert [n for n in range(10**4) if _is_prime(n)] == [n for n in range(10**4) if trial(n)]
+
+
+def test_identity_elements(field):
+    x = field.element(3)
+    assert field.zero + x == x
+    assert field.one * x == x
+    assert x * field.one == x
+    assert x + (-x) == field.zero
 
 
 def test_mixing_fields_raises():
@@ -215,6 +264,70 @@ def test_ratio_functions_reject_non_elements():
 # ---------------------------------------------------------------- examples
 
 
+def test_rational_examples():
+    half, third = RATIONAL.element(Fraction(1, 2)), RATIONAL.element(Fraction(1, 3))
+    assert half + third == RATIONAL.element(Fraction(1, 2) + Fraction(1, 3))
+    assert RATIONAL.element(Fraction(3, 2)).inv() == RATIONAL.element(Fraction(2, 3))
+
+
+@given(
+    st.fractions(min_value=-40, max_value=40, max_denominator=24),
+    st.fractions(min_value=-40, max_value=40, max_denominator=24).filter(bool),
+)
+def test_rational_division_kernels_match_fraction(b, a):
+    pa, pb = RATIONAL.element(a).value, RATIONAL.element(b).value
+    assert Fraction(*RATIONAL._ldiv(pa, pb)) == Fraction(1, 1) / a * b
+    assert Fraction(*RATIONAL._rdiv(pb, pa)) == b * (Fraction(1, 1) / a)
+
+
+def rationals(bound):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, bound))
+
+
+RATIONAL_SCALES = pytest.mark.parametrize("bound", [RANDOM_COEFF_BOUND, 2**256], ids=["desk", "256-bit"])
+
+
+@RATIONAL_SCALES
+@given(data=st.data())
+def test_rational_kernels_match_fraction_oracle(bound, data):
+    x, y = data.draw(rationals(bound)), data.draw(rationals(bound))
+    px, py = (x.numerator, x.denominator), (y.numerator, y.denominator)
+    assert_rational_payload(RATIONAL._add(px, py), x + y)
+    assert_rational_payload(RATIONAL._sub(px, py), x - y)
+    assert_rational_payload(RATIONAL._neg(px), -x)
+    assert_rational_payload(RATIONAL._mul(px, py), x * y)
+    assert RATIONAL._is_zero(px) == (x == 0)
+    assert RATIONAL._format(px) == str(x)
+    # every nonzero divisor twice, once with each sign
+    for z in (y, -y) if y else ():
+        pz = (z.numerator, z.denominator)
+        assert_rational_payload(RATIONAL._inv(pz), 1 / z)
+        assert_rational_payload(RATIONAL._ldiv(pz, px), 1 / z * x)
+        assert_rational_payload(RATIONAL._rdiv(px, pz), x / z)
+
+
+@RATIONAL_SCALES
+@given(data=st.data())
+def test_rational_parse_matches_fraction_oracle(bound, data):
+    # unreduced spellings, '-0', and no denominator at all
+    sign = data.draw(st.sampled_from(["", "-"]))
+    n, d = data.draw(st.integers(0, bound)), data.draw(st.none() | st.integers(1, bound))
+    text = f"{sign}{n}" if d is None else f"{sign}{n}/{d}"
+    want = Fraction(-n if sign else n, d or 1)
+    assert_rational_payload(RATIONAL._parse(text), want)
+    assert str(RATIONAL.parse(" ".join(text))) == str(want)
+
+
+@given(st.integers(0, 2**32))
+def test_rational_random_matches_fraction_draws(seed):
+    bound = RANDOM_COEFF_BOUND
+    ours, old = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        want = Fraction(old.randint(-bound, bound), old.randint(1, bound))
+        assert_rational_payload(RATIONAL._random(ours), want)
+        assert ours.getstate() == old.getstate()
+
+
 def test_rational_coercion_is_canonical():
     assert str(RATIONAL.element(True)) == "1"
     assert str(RATIONAL.element(False)) == "0"
@@ -295,6 +408,32 @@ def test_fractions_loads_only_where_a_fraction_comes_in_or_goes_out(step):
     assert loaded == "[False, False, False, True]"
 
 
+def test_gf_division_kernels_match_mul_and_inv_exhaustively():
+    for a in range(7):
+        for b in range(1, 7):
+            assert GF7._ldiv(b, a) == GF7._mul(GF7._inv(b), a)
+            assert GF7._rdiv(a, b) == GF7._mul(a, GF7._inv(b))
+
+
+def test_gf_examples():
+    assert -GF7.element(3) == GF7.element(4)
+    assert GF5.element(3) * GF5.element(4) == GF5.element((3 * 4) % 5)
+    # inverse against the modular exponentiation oracle
+    for a in range(1, 7):
+        assert GF7.element(a).inv() == GF7.element(pow(a, 7 - 2, 7))
+
+
+def test_quaternion_examples():
+    i, j, k = (QUATERNION.element(u) for u in (I_Q, J_Q, K_Q))
+    assert q_parts(i * j) == q_mul(I_Q, J_Q) == K_Q
+    assert q_parts(j * i) == q_mul(J_Q, I_Q)
+    assert j * i == -k
+    assert q_parts(j - k) == (0, 0, 1, -1)
+    assert i + j == QUATERNION.element((0, 1, 1, 0))
+    assert i.inv() == -i
+    assert q_parts(i.inv()) == q_inv(I_Q)
+
+
 def test_quaternion_sum_reduces_by_the_shared_denominator_factor():
     q = QUATERNION.parse
     # equal denominators (g = 6) and numerators (6, 0, 0, 0) sharing h = 6 with g
@@ -331,6 +470,33 @@ def test_inverse_of_zero_raises(field):
         field.zero.inv()
 
 
+# ---------------------------------------------------------------- axioms
+
+
+@given(field_and_elements(3))
+def test_additive_group_axioms(fx):
+    fld, (x, y, z) = fx
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert x - y == x + (-y)
+
+
+@given(field_and_elements(3))
+def test_multiplicative_axioms(fx):
+    fld, (x, y, z) = fx
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (y + z) * x == y * x + z * x
+
+
+@given(field_and_elements(2, nonzero=True))
+def test_inverses_both_sides(fx):
+    fld, (x, y) = fx
+    assert x * x.inv() == fld.one
+    assert x.inv() * x == fld.one
+    assert not (x * y).is_zero  # no zero divisors
+
+
 # ---------------------------------------------------------------- literals
 
 
@@ -352,6 +518,45 @@ def test_quaternion_norm_is_multiplicative(coeffs):
     p, q = coeffs[:4], coeffs[4:]
     x, y = QUATERNION.element(p), QUATERNION.element(q)
     assert QUATERNION.norm(x * y) == sum(c * c for c in p) * sum(c * c for c in q)
+
+
+@given(st.tuples(*(st.fractions(max_denominator=20, min_value=-20, max_value=20) for _ in range(8))))
+def test_quaternion_matches_product_oracle(coeffs):
+    p, q = coeffs[:4], coeffs[4:]
+    assert q_parts(QUATERNION.element(p) * QUATERNION.element(q)) == q_mul(p, q)
+
+
+# Desk-scale coefficients only: test_conformance's kernel rows take every
+# kernel to the 256-bit and 2048-bit sizes of the benchmark's bignum requests.
+@pytest.mark.parametrize("size", ["small"])
+@given(data=st.data())
+def test_quaternion_ops_match_fraction_oracle(size, data):
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    p, q = data.draw(st.tuples(*[st.tuples(coeff, coeff, coeff, coeff)] * 2))
+    x, y = QUATERNION.element(p), QUATERNION.element(q)
+    results = [
+        (x, p),
+        (x + y, q_add(p, q)),
+        (x - y, q_sub(p, q)),
+        (x + x, q_add(p, p)),
+        (x - x, (0, 0, 0, 0)),
+        (-x, q_neg(p)),
+        (x * y, q_mul(p, q)),
+    ]
+    if any(p):
+        results.append((x.inv(), q_inv(p)))
+        results.append((Element(QUATERNION, QUATERNION._ldiv(x.value, y.value)), q_mul(q_inv(p), q)))
+    if any(q):
+        results.append((Element(QUATERNION, QUATERNION._rdiv(x.value, y.value)), q_mul(p, q_inv(q))))
+    for got, want in results:
+        assert q_parts(got) == want
+        assert_reduced(got)
+    # _sub subtracts directly; it must give the payload of adding the negation
+    for u, v in ((x, y), (y, x), (x, x)):
+        assert QUATERNION._sub(u.value, v.value) == QUATERNION._add(u.value, QUATERNION._neg(v.value))
+    assert QUATERNION.norm(x) == sum(c * c for c in p)
+    assert str(x) == q_str(p)
+    assert QUATERNION.parse(q_str(p)) == x
 
 
 @pytest.mark.parametrize(
@@ -389,6 +594,15 @@ def test_quaternion_parse_error_messages(text, message):
     with pytest.raises(ValueError) as exc:
         QUATERNION.parse(text)
     assert str(exc.value) == message
+
+
+def test_random_quaternion_is_four_rational_draws():
+    for seed in range(20):
+        rng = random.Random(seed)
+        want = tuple(r_value(RATIONAL.random_element(rng)) for _ in range(4))
+        x = QUATERNION.random_element(random.Random(seed))
+        assert q_parts(x) == want
+        assert_reduced(x)
 
 
 # ---------------------------------------------------------------- centrality
@@ -431,10 +645,23 @@ def test_conjugate_by_examples():
 # ---------------------------------------------------------------- randomness
 
 
-# _randbelow runs random.Random.randrange's rejection loop on getrandbits
-# directly.  randrange is its oracle: each draw must return the same value and
-# leave the generator in the same state.  test_conformance checks each
-# family's whole draw against the randint/randrange form it replaced.
+def test_random_element_is_seed_deterministic(field):
+    a = field.random_element(random.Random(123))
+    b = field.random_element(random.Random(123))
+    assert a == b
+
+
+def test_random_rational_stays_desk_scale(rng):
+    for _ in range(200):
+        x = RATIONAL.random_element(rng)
+        n, d = x.value
+        assert abs(n) <= 10**6 and d <= 10**6
+
+
+# The draws run random.Random.randrange's rejection loop on getrandbits
+# directly.  The randint/randrange forms they replaced are the oracle: each
+# draw must return the same payload and leave the generator in the same state.
+# test_conformance takes the same check to GF(2) and GF(2^61 - 1).
 MERSENNE_61 = 2**61 - 1
 
 
@@ -447,3 +674,26 @@ def test_randbelow_matches_randrange(n):
             assert ours.getstate() == oracle.getstate()
 
 
+def old_draw(fld, rng):
+    """The value the old randint/randrange form drew: rationals as Fractions, quaternions as q_parts."""
+    if isinstance(fld, GaloisField):
+        return rng.randrange(fld.p)
+    bound = RANDOM_COEFF_BOUND
+    draws = 4 if fld is QUATERNION else 1
+    terms = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(draws)]
+    return tuple(terms) if fld is QUATERNION else terms[0]
+
+
+def test_random_element_matches_the_randint_draws(field):
+    for seed in (0, 1, 7, 977, 20260816):
+        ours, old = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            x = field.random_element(ours)
+            got = q_parts(x) if field is QUATERNION else r_value(x) if field is RATIONAL else x.value
+            assert got == old_draw(field, old)
+            assert ours.getstate() == old.getstate()
+
+
+def test_gf_enumeration():
+    assert [x.value for x in GF5.elements()] == [0, 1, 2, 3, 4]
+    assert len(GF101.elements()) == 101
