@@ -48,9 +48,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .fields import (
-    DivisionByZeroError, Element, Field, FieldMismatchError, PreconditionError, _check_elements
-)
+from .fields import Element, Field, FieldMismatchError, PreconditionError, _check_elements
 
 
 class IdenticalPointsError(PreconditionError):
@@ -464,21 +462,21 @@ def random_point(field: Field, rng: random.Random) -> PlanePoint:
     return PlanePoint(field.random_element(rng), field.random_element(rng))
 
 
-def _draw_config(field: Field, rng: random.Random, mode: str) -> DesarguesConfig | None:
+def _draw_config(field: Field, rng: random.Random, mode: str) -> DesarguesConfig:
+    # A rejected draw raises PreconditionError, its own or a library call's.
     # No intersect below returns None: its two lines are parallel only when
     # they are one line (in parallel mode, L(a2 || AB) || L(b || AA') forces
     # AA' = AB, so both lines are AB), and then it raises IdenticalLinesError,
-    # which generate_desargues_config retries on, as it does on the
-    # IdenticalPointsError of line_through(a, b) when a == b.
+    # as line_through(a, b) raises IdenticalPointsError when a == b.
     a, b, c = (random_point(field, rng) for _ in range(3))
     side_ab = line_through(a, b)
     if side_ab.contains(c):
-        return None
+        raise DegenerateConfigurationError("A, B, C must not be collinear")
     side_bc = line_through(b, c)
     if mode == "parallel":
         dx, dy = field.random_element(rng), field.random_element(rng)
         if dx.is_zero and dy.is_zero:
-            return None
+            raise DegenerateConfigurationError("the translation must be nonzero")
         a2 = _shift(a, dx, dy)
         join = line_through(a, a2)
         b2 = intersect(parallel_through(side_ab, a2), parallel_through(join, b))
@@ -487,7 +485,7 @@ def _draw_config(field: Field, rng: random.Random, mode: str) -> DesarguesConfig
     p = random_point(field, rng)
     alpha = field.random_element(rng)
     if alpha.is_zero or alpha == field.one or p in (a, b, c):
-        return None
+        raise DegenerateConfigurationError("the dilation must be proper and centered off A, B, C")
     a2 = PlanePoint(p.x + alpha * (a.x - p.x), p.y + alpha * (a.y - p.y))
     b2 = intersect(parallel_through(side_ab, a2), line_through(p, b))
     c2 = intersect(parallel_through(side_bc, b2), line_through(p, c))
@@ -504,7 +502,8 @@ def generate_desargues_config(
 
     Returns (cfg, holds), where holds is check_desargues(cfg), the verdict of
     the check that accepted cfg.  Rejection-samples up to GENERATION_RETRIES
-    times; the stream depends only on (field name, mode, seed).
+    times, redrawing on any PreconditionError, as verify's draws do; the
+    stream depends only on (field name, mode, seed).
     """
     if mode not in ("parallel", "concurrent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -512,9 +511,8 @@ def generate_desargues_config(
     for _ in range(GENERATION_RETRIES):
         try:
             cfg = _draw_config(field, rng, mode)
-            if cfg is not None:
-                return cfg, check_desargues(cfg)
-        except (IdenticalPointsError, IdenticalLinesError, DivisionByZeroError, HypothesisViolationError):
+            return cfg, check_desargues(cfg)
+        except PreconditionError:
             pass
     raise GenerationFailureError(
         f"no valid {mode} configuration over {field} after {GENERATION_RETRIES} draws"

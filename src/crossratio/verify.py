@@ -4,8 +4,8 @@ Every check evaluates algebraic identities with exact arithmetic on inputs
 drawn from a deterministic per-sample stream (seeded by "seed:check:index"),
 so a report is reproducible from (field, seed, samples) alone.  Draws that
 violate a check's preconditions are redrawn and counted, never evaluated;
-a draw that raises fields.PreconditionError is one of them, since a draw
-is where a candidate is tested against the preconditions.  A failing sample
+a draw rejects a candidate only by raising fields.PreconditionError, its
+own or one a library call raises on that candidate.  A failing sample
 is recorded as a witness carrying the formatted inputs and both sides of
 the identity; witness lists are capped, full failure counts are not.  An
 evaluator that raises fields.PreconditionError (the base of every library
@@ -75,8 +75,9 @@ class NoValidInputError(ValueError):
 
 
 # scope: all | commutative | noncommutative | quaternion; kind: equality | witness-search;
-# draw(field, rng) -> inputs tuple, or None to redraw; evaluate(field, inputs) -> list of
-# witness dicts; enumerate_inputs(field) -> every valid inputs tuple of a small field.
+# draw(field, rng) -> inputs tuple (raises PreconditionError to redraw); evaluate(field,
+# inputs) -> list of witness dicts; enumerate_inputs(field) -> every valid inputs tuple
+# of a small field.
 CheckDef = namedtuple(
     "CheckDef",
     "name description scope kind draw evaluate enumerate_inputs",
@@ -161,24 +162,20 @@ def _can_enumerate(check: CheckDef, field: Field) -> bool:
 def _draw_valid(check: CheckDef, field: Field, seed: int, index: int):
     """Inputs of sample `index` and the number of rejected draws before them.
 
-    Redraws continue the sample's own stream, so the result depends only on
+    A draw that raises PreconditionError is rejected and redrawn.  Redraws
+    continue the sample's own stream, so the result depends only on
     (seed, check, index).
     """
     rng = _sample_rng(seed, check.name, index)
-    tries = 0
-    while True:
+    for tries in range(REDRAW_CAP):
         try:
-            inputs = check.draw(field, rng)
+            return check.draw(field, rng), tries
         except PreconditionError:
-            inputs = None
-        if inputs is not None:
-            return inputs, tries
-        tries += 1
-        if tries >= REDRAW_CAP:
-            raise NoValidInputError(
-                f"{check.name}: no precondition-satisfying draw over {field} "
-                f"after {REDRAW_CAP} redraws"
-            )
+            pass
+    raise NoValidInputError(
+        f"{check.name}: no precondition-satisfying draw over {field} "
+        f"after {REDRAW_CAP} redraws"
+    )
 
 
 def _record(check: CheckDef, strategy: str, reason: str | None = None) -> dict:
@@ -279,7 +276,7 @@ def _tuples(count: int, nonzero: bool = False, distinct: bool = False) -> dict:
         for _ in range(count):
             x = field.random_element(rng, nonzero=nonzero)
             if distinct and x in out:
-                return None
+                raise PreconditionError("the elements must be distinct")
             out.append(x)
         return tuple(out)
 
@@ -467,7 +464,7 @@ def _draw_bijectivity(field, rng):
     x1 = field.random_element(rng)
     x2 = field.random_element(rng)
     if x1 == x2:
-        return None
+        raise PreconditionError("X1 and X2 must be distinct")
     r = field.random_element(rng)
     return (b, x1, x2, r)
 
@@ -575,7 +572,7 @@ def _draw_central_first(field, rng):
     for _ in range(3):
         x = field.random_element(rng, nonzero=True)
         if x == a or x in rest:
-            return None
+            raise PreconditionError("the elements must be distinct")
         rest.append(x)
     return (a, *rest)
 
@@ -610,19 +607,16 @@ def _eval_cr_commutative_symmetry(field, xs):
 
 
 def _draw_commuting_ratios(field, rng):
-    triple = _draw_distinct_triple(field, rng)
-    if triple is None:
-        return None
-    a, b, c = triple
+    a, b, c = _draw_distinct_triple(field, rng)
     r2 = ratio3(a, b, c)
     alpha = field.element(_draw_scalar_int(rng))
     beta = field.element(_draw_scalar_int(rng))
     r1 = alpha + beta * r2
     if r1.is_zero or r1 == field.one:
-        return None
+        raise PreconditionError("r1 must not be 0 or 1")
     d = (a * r1 - b) * (r1 - field.one).inv()
     if d in (a, b, c):
-        return None
+        raise PreconditionError("D must be distinct from A, B, C")
     return (a, b, c, d)
 
 
@@ -672,11 +666,9 @@ def _eval_cr_infinity_reductions(field, xs):
 
 def _draw_solve_roundtrip(field, rng):
     triple = _draw_distinct_triple(field, rng)
-    if triple is None:
-        return None
     r = field.random_element(rng)
     if r.is_zero or r == field.one:
-        return None
+        raise PreconditionError("the cross-ratio must not be 0 or 1")
     solve_fourth_point(r, *triple)  # InfiniteSolutionError: a rejected draw
     return (r, *triple)
 
@@ -708,7 +700,7 @@ def _draw_incidence(field, rng):
     r = random_point(field, rng)
     s = random_point(field, rng)
     if p == q or r == s:
-        return None
+        raise PreconditionError("P, Q and R, S must be distinct pairs")
     return (p, q, r, s)
 
 
@@ -747,20 +739,13 @@ def _eval_incidence(field, inputs):
     return fails
 
 
-def _draw_axis(field, rng) -> Chart | None:
-    """A chart on two random base points, or None when they coincide."""
-    o = random_point(field, rng)
-    i = random_point(field, rng)
-    if o == i:
-        return None
-    return Chart(o, i)
+def _draw_axis(field, rng) -> Chart:
+    """A chart on two random base points; Chart raises when they coincide."""
+    return Chart(random_point(field, rng), random_point(field, rng))
 
 
 def _draw_chart(field, rng):
-    chart = _draw_axis(field, rng)
-    if chart is None:
-        return None
-    return (chart, field.random_element(rng))
+    return (_draw_axis(field, rng), field.random_element(rng))
 
 
 @_register(
@@ -782,11 +767,9 @@ def _eval_chart(field, inputs):
 
 def _draw_geometric(field, rng):
     chart = _draw_axis(field, rng)
-    if chart is None:
-        return None
     aux = random_point(field, rng)
     if chart.axis.contains(aux):
-        return None
+        raise PreconditionError("the auxiliary point must lie off the axis")
     a = field.random_element(rng)
     b = field.random_element(rng)
     return (chart, a, b, aux)
@@ -819,15 +802,13 @@ def _eval_geometric_mul(field, inputs):
 
 def _draw_aux_family(field, rng):
     chart = _draw_axis(field, rng)
-    if chart is None:
-        return None
     auxes = []
     tries = 0
     while len(auxes) < 10:
         candidate = random_point(field, rng)
         tries += 1
         if tries > 500:
-            return None
+            raise PreconditionError("too few auxiliary points off the axis")
         if chart.axis.contains(candidate) or candidate in auxes:
             continue
         auxes.append(candidate)

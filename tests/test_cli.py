@@ -654,6 +654,23 @@ DESARGUES_GOLDEN = [
         "config 1: hypothesis violated: vertices A', B', C' must be pairwise distinct\n"
         "config 2: hypothesis violated: the lines AA', BB', CC', AC, A'C' must be pairwise distinct\n",
     ),
+    # over gf:5 the generator rejects draws on every branch: collinear A, B, C, a degenerate
+    # dilation, a zero translation (seed 1 only), and a line, meet or clause that raises
+    (
+        ("--field", "gf:5", "--count", "20", "--seed", "3", "--mode", "concurrent"),
+        0,
+        "20/20 pass\nconfig-hash: c9da98a54470a56e\n",
+    ),
+    (
+        ("--field", "gf:5", "--count", "20", "--seed", "3", "--mode", "parallel"),
+        0,
+        "20/20 pass\nconfig-hash: 7213a27a4c643697\n",
+    ),
+    (
+        ("--field", "gf:5", "--count", "20", "--seed", "1", "--mode", "parallel"),
+        0,
+        "20/20 pass\nconfig-hash: 68616fa85621c48b\n",
+    ),
 ]
 
 

@@ -13,6 +13,7 @@ import math
 import operator
 import random
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
@@ -181,6 +182,22 @@ def over_rows(keep=lambda row: True):
 over_scales = pytest.mark.parametrize(
     "row, scale", [pytest.param(row, scale, id=f"{name}-{scale}") for name, row in ROWS.items() for scale in row.scales]
 )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def unlimited_int_str_digits():
+    """Lift the int-to-str digit limit, so a failing 2048-bit row shows its payloads.
+
+    Only this module lifts it: test_cli needs the default limit in force to
+    show that main lifts it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------- checks, one row's values at a time

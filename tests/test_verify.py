@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from conftest import GF5, GF7, GF101, QUATERNION, RATIONAL, swapped_inverse_form_matches
+from conftest import FIELDS, GF5, GF7, GF101, QUATERNION, RATIONAL, swapped_inverse_form_matches
 from crossratio import verify
-from crossratio.fields import DivisionByZeroError, field_by_name
+from crossratio.fields import DivisionByZeroError, PreconditionError, field_by_name
 from crossratio.gf import GaloisField
 from crossratio.plane import Chart, point
 from crossratio.verify import (
@@ -84,10 +84,28 @@ def test_draw_and_enumerator_cover_the_same_domain(name, field):
     tuples = list(check.enumerate_inputs(field))
     assert len(set(tuples)) == len(tuples)  # no repeats
     rng = random.Random(f"domain:{name}")
-    drawn = [check.draw(field, rng) for _ in range(2000)]
-    accepted = [inputs for inputs in drawn if inputs is not None]
+    accepted = []
+    for _ in range(2000):
+        try:
+            accepted.append(check.draw(field, rng))
+        except PreconditionError:
+            pass
     assert accepted
     assert set(accepted) <= set(tuples)
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_every_draw_returns_inputs_or_raises(name):
+    # the one rejection signal _draw_valid and generate_desargues_config redraw on
+    check = CHECKS[name]
+    for field in FIELDS:
+        rng = random.Random(f"signal:{name}:{field.name}")
+        for _ in range(200):
+            try:
+                inputs = check.draw(field, rng)
+            except PreconditionError:
+                continue
+            assert isinstance(inputs, tuple), (field.name, inputs)
 
 
 @pytest.mark.parametrize(
